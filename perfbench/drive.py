@@ -114,11 +114,14 @@ async def closed_loop(
                 return
 
     conns = [Connection(*address) for _ in range(connections)]
+    # As in the open loop: a collector pause is the client's time, not the server's.
+    gc.disable()
     try:
         for conn in conns:
             await conn.open()
         await asyncio.gather(*(work(conn) for conn in conns))
     finally:
+        gc.enable()
         for conn in conns:
             await conn.close()
     return outcomes

@@ -54,3 +54,30 @@ def tail(values: Sequence[float]) -> Tuple[float, float, int]:
     ordered = sorted(values)
     pct = tail_percentile(len(ordered))
     return rank_value(ordered, pct), pct, len(ordered)
+
+
+#: Samples per window of :func:`windowed_tail`: the fewest at which p90 has
+#: :data:`MIN_BEYOND` samples beyond it.
+TAIL_WINDOW = 100
+
+
+def windowed_tail(values: Sequence[float]) -> Tuple[float, float, int]:
+    """``(value, percentile, windows)``: the middle window's tail.
+
+    ``values`` are split, in the order given, into consecutive windows of
+    :data:`TAIL_WINDOW` samples (a short remainder is dropped); each window's tail
+    percentile is taken as in :func:`tail`, and the median of those (the
+    lower middle for an even count) is returned, so the value is still an
+    observed sample.  A burst of host contention that covers fewer than half
+    of the windows leaves it where it was, while it would move a whole-run
+    p90.  With fewer than two whole windows this is the whole-run tail.
+    """
+    window = TAIL_WINDOW
+    count = len(values) // window
+    if count < 2:
+        value, pct, _samples = tail(values)
+        return value, pct, 1
+    pct = tail_percentile(window)
+    tails = [rank_value(sorted(values[index * window:(index + 1) * window]), pct)
+             for index in range(count)]
+    return statistics.median_low(tails), pct, count

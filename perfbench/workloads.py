@@ -311,7 +311,7 @@ FLEET_KEYS = 48
 #: (n, kind) cell once.
 LARGE_N_GRID = (10_000, 30_000, 100_000)
 #: Run seconds per cycle: a run of S seconds measures round(S /
-#: LARGE_N_CYCLE_S) cycles (three at 15 s, about 15 s at the parent commit).
+#: LARGE_N_CYCLE_S) cycles (four at 18 s, about 20 s at the parent commit).
 LARGE_N_CYCLE_S = 5.0
 LARGE_N_MENUS = ("jelly-20", "smic-20")
 LARGE_N_THRESHOLDS = (0.88, 0.90, 0.92, 0.95)
@@ -322,12 +322,14 @@ LARGE_N_RANGES = ((0.85, 0.95), (0.88, 0.97))
 
 def large_n_cells(rng: random.Random) -> List[Call]:
     """A homogeneous call per grid size and a heterogeneous one at the
-    smallest and largest size; the homogeneous n = 3·10^4 call three times.
+    smallest and largest size; the homogeneous n = 3·10^4 call seven times.
 
     The middle call by latency (homogeneous at n = 3·10^4) sits far from its
     neighbours, so the median of whole cycles is that call's latency rather
-    than whichever of two close call types happened to rank in the middle;
-    sending it three times per cycle makes that median one of nine samples.
+    than whichever of two close call types happened to rank in the middle.
+    One such call takes anywhere from 1x to 2x the fastest, so it is sent
+    seven times per cycle: over four cycles both the median and the tail
+    (p75 of 44 calls) are order statistics of 28 samples of it.
     Menus, thresholds and ranges are fixed per cell, so every seed asks for
     the same work; the seed draws the heterogeneous threshold lists (and the
     order of each cycle).  Every cycle repeats these problems, so the
@@ -338,7 +340,7 @@ def large_n_cells(rng: random.Random) -> List[Call]:
         menu = LARGE_N_MENUS[index % 2]
         threshold = LARGE_N_THRESHOLDS[index % len(LARGE_N_THRESHOLDS)]
         spec = {"menu": menu, "n": n, "threshold": threshold}
-        repeats = 3 if n == LARGE_N_GRID[1] else 1
+        repeats = 7 if n == LARGE_N_GRID[1] else 1
         for copy in range(repeats):
             calls.append(single_call(f"homogeneous-{n}", Item(f"h{n}-{copy}", spec, n),
                                      plan=False))
@@ -370,7 +372,7 @@ COLD_MENUS = ("jelly-20", "smic-20", "jelly-25", "smic-25")
 COLD_GRID = (0.85, 0.995, 29)             #: lo, hi, cells
 COLD_N = 100
 #: Run seconds per pass: a run of S seconds measures round(S / COLD_PASS_S)
-#: passes (four at 15 s, about 15 s of calls at the parent commit).
+#: passes (five at 18 s, about 18 s of calls at the parent commit).
 COLD_PASS_S = 3.75
 #: One heterogeneous request (spanning several Algorithm 4 groups) per this
 #: many homogeneous ones.
