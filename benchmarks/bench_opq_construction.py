@@ -26,10 +26,8 @@ import pytest
 from benchmarks.conftest import record_result, report
 from repro.algorithms.opq import build_optimal_priority_queue
 from repro.algorithms.opq_vec import (
-    CORE_NUMPY,
-    CORE_PYTHON,
     NUMPY_AVAILABLE,
-    build_queue,
+    build_optimal_priority_queue_vec,
 )
 from repro.core.bins import TaskBinSet
 from repro.datasets.jelly import jelly_bin_set
@@ -94,16 +92,20 @@ def test_vectorized_core_speedup_gate():
     python_total = 0.0
     numpy_total = 0.0
     for name, bins, threshold in GRID:
-        reference = build_queue(bins, threshold, core=CORE_PYTHON)
-        vectorized = build_queue(bins, threshold, core=CORE_NUMPY)
+        reference = build_optimal_priority_queue(bins, threshold)
+        vectorized = build_optimal_priority_queue_vec(bins, threshold)
         assert _frontier_bytes(vectorized) == _frontier_bytes(reference), (
             f"vectorized frontier diverges from the reference on "
             f"{name} t={threshold}"
         )
         assert vectorized.complete == reference.complete
 
-        python_best = _best_of(lambda: build_queue(bins, threshold, core=CORE_PYTHON))
-        numpy_best = _best_of(lambda: build_queue(bins, threshold, core=CORE_NUMPY))
+        python_best = _best_of(
+            lambda: build_optimal_priority_queue(bins, threshold)
+        )
+        numpy_best = _best_of(
+            lambda: build_optimal_priority_queue_vec(bins, threshold)
+        )
         python_total += python_best
         numpy_total += numpy_best
         rows.append((name, threshold, len(reference), python_best, numpy_best))

@@ -43,8 +43,8 @@ from repro.algorithms.opq import (
 )
 from repro.algorithms.opq_vec import build_queue
 from repro.algorithms.opq_extended import (
-    assign_to_groups,
     group_thresholds,
+    solve_over_groups,
     ThresholdGroup,
 )
 from repro.core.errors import InfeasiblePlanError
@@ -76,10 +76,10 @@ class AnytimeSolver(Solver):
     queue_factory:
         Optional queue supplier.  When the injected object additionally
         exposes ``peek(bins, threshold)`` and ``publish(bins, threshold,
-        queue, build_seconds)`` — :class:`~repro.engine.cache.PlanCache` and
-        the service facade's recorder both do — cached queues are reused
-        without paying for cold builds, and fresh builds are published back
-        so refined frontiers overwrite coarse cached ones.
+        queue, build_seconds)`` — a :class:`~repro.engine.cache.PlanCache`,
+        which is what the batch planner injects, does — cached queues are
+        reused without paying for cold builds, and fresh builds are
+        published back so refined frontiers overwrite coarse cached ones.
     """
 
     name = "anytime"
@@ -241,34 +241,10 @@ class AnytimeSolver(Solver):
         """Algorithm 3 (or the Algorithm 5 group loop) over prebuilt queues."""
         if problem.is_homogeneous:
             solver = OPQSolver(verify=False, prebuilt_queue=queues[0])
-            plan = solver._solve(problem)
-            plan.solver = self.name
-            return plan
-
+            return solver._solve(problem)
         groups = [
-            ThresholdGroup(
-                index, residual_from_reliability(threshold), queue
-            )
+            ThresholdGroup(index, residual_from_reliability(threshold), queue)
             for index, (threshold, queue) in enumerate(zip(thresholds, queues))
         ]
-        residuals = {
-            atomic.task_id: residual_from_reliability(atomic.threshold)
-            for atomic in problem.task
-        }
-        membership = assign_to_groups(residuals, groups)
-        plan = DecompositionPlan(solver=self.name)
-        for group in groups:
-            task_ids = membership[group.index]
-            if not task_ids:
-                continue
-            sub_task = problem.task.subset(
-                task_ids, name=f"{problem.task.name}-group{group.index}"
-            )
-            sub_problem = SladeProblem(
-                sub_task,
-                problem.bins,
-                name=f"{problem.name}-group{group.index}",
-            )
-            sub_solver = OPQSolver(verify=False, prebuilt_queue=group.queue)
-            plan.extend(sub_solver._solve(sub_problem))
+        plan, _group_sizes = solve_over_groups(problem, groups)
         return plan

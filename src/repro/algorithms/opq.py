@@ -385,9 +385,9 @@ def build_optimal_priority_queue(
 
 
 #: Signature of a queue supplier: ``(bins, threshold) -> OptimalPriorityQueue``.
-#: :func:`build_optimal_priority_queue` satisfies it, and so does the bound
-#: ``queue_for`` method of :class:`repro.engine.cache.PlanCache`, which is how
-#: the batch planning engine shares one OPQ construction across instances.
+#: :func:`build_optimal_priority_queue` satisfies it, and so does a
+#: :class:`repro.engine.cache.PlanCache` instance, which is how the batch
+#: planning engine shares one OPQ construction across instances.
 QueueFactory = Callable[[TaskBinSet, float], OptimalPriorityQueue]
 
 
@@ -404,10 +404,10 @@ class OPQSolver(Solver):
         problem's bin set and common threshold.
     queue_factory:
         Optional supplier used to obtain the queue when no ``prebuilt_queue``
-        is given.  The batch planning engine injects a
-        :class:`~repro.engine.cache.PlanCache` bound method here so Algorithm 2
-        runs once per ``(bin set, threshold)`` pair across a whole batch.
-        Defaults to :func:`build_optimal_priority_queue` (a cold build).
+        is given.  The batch planning engine injects its
+        :class:`~repro.engine.cache.PlanCache` here so Algorithm 2 runs once
+        per ``(bin set, threshold)`` pair across a whole batch.  Defaults to
+        :func:`build_optimal_priority_queue` (a cold build).
 
     Raises
     ------
@@ -430,7 +430,11 @@ class OPQSolver(Solver):
     ) -> None:
         super().__init__(verify=verify)
         self._prebuilt_queue = prebuilt_queue
-        self._queue_factory = queue_factory or build_optimal_priority_queue
+        # ``is None``, not truthiness: an empty PlanCache has len() 0.
+        self._queue_factory = (
+            build_optimal_priority_queue if queue_factory is None
+            else queue_factory
+        )
 
     def _solve(self, problem: SladeProblem) -> DecompositionPlan:
         if self._prebuilt_queue is not None:

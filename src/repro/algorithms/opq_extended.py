@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import Solver
 from repro.algorithms.opq import (
@@ -133,7 +133,9 @@ def build_opq_set(
         exactly ``theta_max`` so no task over-pays beyond the paper's 2x
         rounding factor.
     """
-    factory = queue_factory or build_optimal_priority_queue
+    factory = (
+        build_optimal_priority_queue if queue_factory is None else queue_factory
+    )
     boundaries = _group_boundaries(thresholds)
     groups: List[ThresholdGroup] = []
     for index, upper in enumerate(boundaries):
@@ -176,6 +178,42 @@ def assign_to_groups(
     return membership
 
 
+def solve_over_groups(
+    problem: SladeProblem,
+    groups: Sequence[ThresholdGroup],
+) -> Tuple[DecompositionPlan, Dict[int, int]]:
+    """Algorithm 5's group loop: Algorithm 3 per group over its prebuilt queue.
+
+    Every task goes to the lowest group covering its transformed threshold
+    (:func:`assign_to_groups`) and is solved against that group's upper
+    bound, which dominates each individual threshold in the group.  The
+    per-group plans are concatenated in group order.  Returns the plan and
+    the number of tasks each group received.
+    """
+    residuals = {
+        atomic.task_id: residual_from_reliability(atomic.threshold)
+        for atomic in problem.task
+    }
+    membership = assign_to_groups(residuals, groups)
+    plan = DecompositionPlan()
+    group_sizes: Dict[int, int] = {}
+    for group in groups:
+        task_ids = membership[group.index]
+        group_sizes[group.index] = len(task_ids)
+        if not task_ids:
+            continue
+        sub_problem = SladeProblem(
+            problem.task.subset(
+                task_ids, name=f"{problem.task.name}-group{group.index}"
+            ),
+            problem.bins,
+            name=f"{problem.name}-group{group.index}",
+        )
+        sub_solver = OPQSolver(verify=False, prebuilt_queue=group.queue)
+        plan.extend(sub_solver._solve(sub_problem))
+    return plan, group_sizes
+
+
 class OPQExtendedSolver(Solver):
     """Algorithm 5: OPQ-Extended for the heterogeneous SLADE problem.
 
@@ -203,38 +241,11 @@ class OPQExtendedSolver(Solver):
         self._queue_factory = queue_factory
 
     def _solve(self, problem: SladeProblem) -> DecompositionPlan:
-        thresholds = problem.task.thresholds
         groups = build_opq_set(
-            problem.bins, thresholds, queue_factory=self._queue_factory
+            problem.bins, problem.task.thresholds,
+            queue_factory=self._queue_factory,
         )
-        residuals = {
-            atomic.task_id: residual_from_reliability(atomic.threshold)
-            for atomic in problem.task
-        }
-        membership = assign_to_groups(residuals, groups)
-
-        plan = DecompositionPlan(solver=self.name)
-        group_sizes = {}
-        for group in groups:
-            task_ids = membership[group.index]
-            group_sizes[group.index] = len(task_ids)
-            if not task_ids:
-                continue
-            sub_task = problem.task.subset(
-                task_ids, name=f"{problem.task.name}-group{group.index}"
-            )
-            # Every task in the group is solved against the group's upper-bound
-            # threshold (carried by the prebuilt queue), which dominates each
-            # individual threshold in the group.
-            sub_problem = SladeProblem(
-                sub_task,
-                problem.bins,
-                name=f"{problem.name}-group{group.index}",
-            )
-            sub_solver = OPQSolver(verify=False, prebuilt_queue=group.queue)
-            sub_plan = sub_solver._solve(sub_problem)
-            plan.extend(sub_plan)
-
+        plan, group_sizes = solve_over_groups(problem, groups)
         self.record("groups", len(groups))
         self.record("group_sizes", group_sizes)
         return plan

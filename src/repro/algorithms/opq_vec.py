@@ -38,19 +38,15 @@ grid and under hypothesis-generated menus.  Three details make that hold:
    count vector alone: index ``j`` repeated ``count_j`` times, ascending),
    so exact-tie survivors match the reference's first-wins behaviour.
 
-**Core selection.**  :func:`resolve_core` picks the active core from an
-explicit argument, the ``SLADE_OPQ_CORE`` environment variable (``auto`` /
-``python`` / ``numpy``), or availability: ``auto`` means numpy when
-importable, with an automatic fallback to the pure-Python reference when it
-is not (or when a menu's cardinalities could overflow int64 LCMs).
-:func:`build_queue` is the dispatching entry point the plan cache and the
-anytime ladder call.
+**Core selection.**  :func:`build_queue`, the entry point the plan cache,
+the anytime ladder and the drift sweep call, runs this core whenever numpy
+imports and the menu's LCMs fit int64, and the pure-Python reference
+otherwise.  The reference stays the equivalence suite's oracle.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from typing import Iterable, List, Optional, Tuple
 
@@ -71,37 +67,10 @@ except ImportError:  # pragma: no cover - the CI image ships numpy
 #: Whether the vectorized core can run in this interpreter.
 NUMPY_AVAILABLE = np is not None
 
-#: Environment variable consulted when no explicit core is requested.
-CORE_ENV_VAR = "SLADE_OPQ_CORE"
-
-CORE_AUTO = "auto"
-CORE_PYTHON = "python"
-CORE_NUMPY = "numpy"
-CORES = (CORE_AUTO, CORE_PYTHON, CORE_NUMPY)
-
 #: Running LCMs are tracked in int64; a menu whose distinct cardinalities
 #: could multiply past this bound is routed to the arbitrary-precision
 #: Python core instead (the product bounds every reachable LCM).
 _LCM_SAFE_LIMIT = 2 ** 62
-
-
-def resolve_core(requested: Optional[str] = None) -> str:
-    """The concrete core (``"python"`` or ``"numpy"``) a build will use.
-
-    ``requested`` beats the ``SLADE_OPQ_CORE`` environment variable beats
-    ``auto``.  ``auto`` resolves to numpy when available; an explicit
-    ``numpy`` request degrades to ``python`` (rather than failing) when
-    numpy is absent, so a pinned config keeps working on a slim install.
-    """
-    name = (requested or os.environ.get(CORE_ENV_VAR) or CORE_AUTO)
-    name = name.strip().lower()
-    if name not in CORES:
-        raise ValueError(
-            f"unknown OPQ core {name!r}; expected one of {', '.join(CORES)}"
-        )
-    if name == CORE_PYTHON:
-        return CORE_PYTHON
-    return CORE_NUMPY if NUMPY_AVAILABLE else CORE_PYTHON
 
 
 def _lcm_fits_int64(bins: TaskBinSet) -> bool:
@@ -117,15 +86,14 @@ def build_queue(
     use_pruning: bool = True,
     deadline: Optional[float] = None,
     seed: Optional[Iterable[Combination]] = None,
-    core: Optional[str] = None,
 ) -> OptimalPriorityQueue:
-    """Build the OPQ with the selected core (see :func:`resolve_core`).
+    """Build the OPQ with the vectorized core, or the reference when it can't run.
 
-    The signature is a superset of
-    :func:`~repro.algorithms.opq.build_optimal_priority_queue`; both cores
-    accept every parameter, so callers can switch cores without branching.
+    The parameters are those of
+    :func:`~repro.algorithms.opq.build_optimal_priority_queue`, and both
+    cores return byte-identical queues, so the choice is invisible to callers.
     """
-    if resolve_core(core) == CORE_NUMPY and _lcm_fits_int64(bins):
+    if NUMPY_AVAILABLE and _lcm_fits_int64(bins):
         return build_optimal_priority_queue_vec(
             bins, threshold,
             max_assignments=max_assignments,

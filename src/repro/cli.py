@@ -184,10 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="largest micro-batch the HTTP frontend coalesces")
     serve.add_argument("--max-wait-seconds", type=float, default=0.01,
                        help="longest an incomplete micro-batch is held open")
-    serve.add_argument("--opq-core", default=None, dest="opq_core",
-                       choices=["auto", "python", "numpy"],
-                       help="Algorithm 2 construction core for plan-cache "
-                            "builds (default: SLADE_OPQ_CORE env, then auto)")
     serve.add_argument("--auth-token", default=None, metavar="TOKEN",
                        help="shared secret required on solve endpoints "
                             "('Authorization: Bearer <token>' or "
@@ -256,10 +252,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated reliability thresholds to build")
     profile.add_argument("--max-cardinality", type=int, default=20,
                          help="largest task bin cardinality |B|")
-    profile.add_argument("--core", default=None,
-                         choices=["auto", "python", "numpy"],
-                         help="OPQ construction core (default: SLADE_OPQ_CORE "
-                              "env, then auto)")
+    profile.add_argument("--core", default=None, choices=["python", "numpy"],
+                         help="OPQ construction core (default: numpy when "
+                              "importable, else python)")
     profile.add_argument("--repeat", type=int, default=3,
                          help="build each threshold this many times")
     profile.add_argument("--top", type=int, default=15,
@@ -446,7 +441,6 @@ def _serve_http(args: argparse.Namespace) -> int:
         cache_backend=args.cache,
         max_batch_size=args.max_batch_size,
         max_wait_seconds=args.max_wait_seconds,
-        opq_core=args.opq_core,
         drift_window=args.drift_window,
         drift_min_observations=args.drift_min_observations,
         drift_tolerance=args.drift_tolerance,
@@ -523,7 +517,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         solver=args.solver,
         verify=not args.no_verify,
         cache_backend=args.cache,
-        opq_core=args.opq_core,
         drift_window=args.drift_window,
         drift_min_observations=args.drift_min_observations,
         drift_tolerance=args.drift_tolerance,
@@ -679,7 +672,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import pstats
     import time
 
-    from repro.algorithms.opq_vec import build_queue, resolve_core
+    from repro.algorithms.opq import build_optimal_priority_queue
+    from repro.algorithms.opq_vec import (
+        NUMPY_AVAILABLE,
+        build_optimal_priority_queue_vec,
+    )
 
     if args.repeat < 1:
         raise SladeError(f"--repeat must be >= 1; got {args.repeat}")
@@ -688,7 +685,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     thresholds = _parse_grid(args.thresholds, float, "--thresholds")
     bins = jelly_bin_set(args.max_cardinality) if args.dataset == "jelly" \
         else smic_bin_set(args.max_cardinality)
-    core = resolve_core(args.core)
+    core = args.core or ("numpy" if NUMPY_AVAILABLE else "python")
+    if core == "numpy" and not NUMPY_AVAILABLE:
+        raise SladeError("--core numpy needs numpy, which is not importable")
+    build = (
+        build_optimal_priority_queue_vec if core == "numpy"
+        else build_optimal_priority_queue
+    )
 
     profiler = cProfile.Profile()
     per_threshold = []
@@ -697,7 +700,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         for _ in range(args.repeat):
             start = time.perf_counter()
             profiler.enable()
-            queue = build_queue(bins, threshold, core=core)
+            queue = build(bins, threshold)
             profiler.disable()
             best = min(best, time.perf_counter() - start)
         per_threshold.append((threshold, best, len(queue)))

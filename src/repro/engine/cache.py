@@ -38,15 +38,16 @@ pre-existing contract for third-party backends).
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, TypeVar
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, TypeVar
 
 from repro.algorithms.opq import (
     Combination,
     OptimalPriorityQueue,
     queue_is_complete,
 )
-from repro.algorithms.opq_vec import build_queue, resolve_core
+from repro.algorithms.opq_vec import build_queue
 from repro.core.bins import TaskBinSet
 from repro.engine.backends import CacheBackend, MemoryBackend
 from repro.engine.fingerprint import OPQKey, opq_key
@@ -74,6 +75,30 @@ class _InflightBuild:
     def __init__(self) -> None:
         self.done = threading.Event()
         self.queue: Optional[OptimalPriorityQueue] = None
+
+
+class CacheLedger:
+    """What one thread's lookups did while :meth:`PlanCache.ledger` was open.
+
+    ``built`` is set when the thread built a queue in :meth:`PlanCache.queue_for`
+    or handed one to :meth:`PlanCache.publish`; ``found`` when a lookup
+    returned a queue.  :attr:`label` applies the cache-provenance rule.
+    """
+
+    __slots__ = ("built", "found")
+
+    def __init__(self) -> None:
+        self.built = False
+        self.found = False
+
+    @property
+    def label(self) -> str:
+        """``"miss"``, ``"hit"`` or ``"bypass"`` (see :class:`PlanCache`)."""
+        if self.built:
+            return "miss"
+        if self.found:
+            return "hit"
+        return "bypass"
 
 
 @dataclass(frozen=True)
@@ -162,17 +187,23 @@ class PlanCache:
         ``cache.evictions`` counters and ``cache.build_seconds`` alongside
         its own :attr:`stats` (the service layer shares one registry across
         the cache, planner, and transport so ``/metrics`` is one snapshot).
-    opq_core:
-        Algorithm 2 core for cold builds: ``"auto"`` (numpy when available,
-        the default), ``"python"``, or ``"numpy"``; ``None`` defers to the
-        ``SLADE_OPQ_CORE`` environment variable, then ``auto``.  See
-        :func:`repro.algorithms.opq_vec.resolve_core`.
 
-    The bound method :meth:`queue_for` matches the
-    :data:`~repro.algorithms.opq.QueueFactory` signature, so a cache can be
-    injected directly into :class:`~repro.algorithms.opq.OPQSolver` and
-    :class:`~repro.algorithms.opq_extended.OPQExtendedSolver` via their
-    ``queue_factory`` parameter.
+    The cache is the one object solvers get queues from: calling it is
+    :meth:`queue_for`, so it matches the
+    :data:`~repro.algorithms.opq.QueueFactory` signature and the batch
+    planner injects it as the ``queue_factory`` of every solver that takes
+    one; the anytime ladder also uses its :meth:`peek`, :meth:`publish` and
+    :meth:`seed_for`.
+
+    It is also the only code that decides whether a lookup hit or missed.
+    Inside :meth:`ledger`, each outcome is recorded for the calling thread,
+    and the service labels a request's ``cache`` field from it:
+
+    * ``miss`` if the request built a queue or published one;
+    * else ``hit`` if any lookup returned a queue (a complete or partial
+      :meth:`peek`, a backend hit, or a coalesced wait on another
+      thread's build);
+    * else ``bypass``.
     """
 
     def __init__(
@@ -180,11 +211,7 @@ class PlanCache:
         max_entries: Optional[int] = None,
         backend: Optional[CacheBackend] = None,
         telemetry: Optional[Telemetry] = None,
-        opq_core: Optional[str] = None,
     ) -> None:
-        if opq_core is not None:
-            resolve_core(opq_core)  # fail fast on an unknown core name
-        self._opq_core = opq_core
         if backend is None:
             backend = MemoryBackend(max_entries=max_entries)
         elif max_entries is not None:
@@ -222,8 +249,14 @@ class PlanCache:
         #: in the backend, and a stale curve point (evicted entry) is
         #: dropped on the next lookup.
         self._curves: Dict[str, Dict[float, OPQKey]] = {}
+        #: Per thread: the open :class:`CacheLedger`, if any.
+        self._local = threading.local()
 
     # -- the hot path ----------------------------------------------------------
+
+    def __call__(self, bins: TaskBinSet, threshold: float) -> OptimalPriorityQueue:
+        """The queue-factory protocol: same as :meth:`queue_for`."""
+        return self.queue_for(bins, threshold)
 
     def queue_for(self, bins: TaskBinSet, threshold: float) -> OptimalPriorityQueue:
         """Return the OPQ for ``(bins, threshold)``, building it on first use.
@@ -261,12 +294,11 @@ class PlanCache:
             seed = self.seed_for(bins, threshold)
             watch = Stopwatch()
             with watch:
-                queue = build_queue(
-                    bins, threshold, seed=seed, core=self._opq_core
-                )
+                queue = build_queue(bins, threshold, seed=seed)
             self._guarded(lambda: self.backend.put(key, queue))
             flight.queue = queue
             self._register_curve_point(bins, threshold, key, queue)
+            self._note(built=True)
             self._record_miss(watch.elapsed, seeded=seed is not None)
             return queue
         finally:
@@ -319,8 +351,10 @@ class PlanCache:
         downgrades a complete entry, and between two incomplete frontiers the
         larger one wins.  Returns whether the queue was stored; a stored build
         is accounted as a miss with ``build_seconds`` of construction time,
-        mirroring :meth:`queue_for`'s bookkeeping.
+        mirroring :meth:`queue_for`'s bookkeeping.  The calling thread's
+        ledger records a build either way: the caller built the queue.
         """
+        self._note(built=True)
         key = opq_key(bins, threshold)
 
         def exchange() -> bool:
@@ -403,7 +437,33 @@ class PlanCache:
         with self._storage_lock:
             return call()
 
+    @contextmanager
+    def ledger(self) -> Iterator[CacheLedger]:
+        """Record the calling thread's lookup outcomes for the block's duration.
+
+        Other threads' lookups never reach this ledger, so the service can
+        label each request even while concurrent requests share the cache.
+        """
+        ledger = CacheLedger()
+        outer = getattr(self._local, "ledger", None)
+        self._local.ledger = ledger
+        try:
+            yield ledger
+        finally:
+            self._local.ledger = outer
+
+    def _note(self, built: bool) -> None:
+        """Record one lookup outcome in the calling thread's open ledger."""
+        ledger = getattr(self._local, "ledger", None)
+        if ledger is None:
+            return
+        if built:
+            ledger.built = True
+        else:
+            ledger.found = True
+
     def _record_hit(self, coalesced: bool = False) -> None:
+        self._note(built=False)
         with self._lock:
             self._hits += 1
         if self.telemetry is not None:
@@ -412,6 +472,7 @@ class PlanCache:
                 self.telemetry.increment("cache.coalesced_waits")
 
     def _record_partial_hit(self) -> None:
+        self._note(built=False)
         with self._lock:
             self._partial_hits += 1
         if self.telemetry is not None:

@@ -29,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.algorithms.base import SolveResult
+from repro.algorithms.base import SolveResult, Solver
 from repro.algorithms.opq_extended import group_thresholds
 from repro.algorithms.registry import create_solver, solver_accepts_queue_factory
 from repro.core.problem import SladeProblem
@@ -202,6 +202,19 @@ def _init_worker(entries: Dict[Any, Any]) -> None:
     _WORKER_CACHE.absorb(entries)
 
 
+def _make_solver(cache: PlanCache, solver: str, options: Dict[str, Any]) -> Solver:
+    """Instantiate ``solver``, injecting ``cache`` when it takes a queue factory.
+
+    The one place a plan cache reaches a solver: the cache object itself is
+    the ``queue_factory``, so the anytime ladder finds its ``peek`` /
+    ``publish`` / ``seed_for`` too.  An explicit ``queue_factory`` option wins.
+    """
+    if solver_accepts_queue_factory(solver):
+        options = dict(options)
+        options.setdefault("queue_factory", cache)
+    return create_solver(solver, **options)
+
+
 def _solve_job(
     payload: Tuple[SladeProblem, str, Dict[str, Any]],
 ) -> Tuple[SolveResult, CacheStats]:
@@ -213,11 +226,7 @@ def _solve_job(
     problem, solver_name, options = payload
     cache = _WORKER_CACHE if _WORKER_CACHE is not None else PlanCache()
     before = cache.stats
-    if solver_accepts_queue_factory(solver_name):
-        options = dict(options)
-        options.setdefault("queue_factory", cache.queue_for)
-    solver = create_solver(solver_name, **options)
-    result = solver.solve(problem)
+    result = _make_solver(cache, solver_name, options).solve(problem)
     return result, cache.stats.since(before)
 
 
@@ -289,9 +298,7 @@ class BatchPlanner:
             options,
             self.verify if verify is None else verify,
         )
-        if solver_accepts_queue_factory(solver):
-            effective.setdefault("queue_factory", self.cache.queue_for)
-        return create_solver(solver, **effective).solve(problem)
+        return _make_solver(self.cache, solver, effective).solve(problem)
 
     # -- batch path ----------------------------------------------------------------
 
@@ -368,12 +375,6 @@ class BatchPlanner:
             return max(1, min(self.max_workers, instances))
         return min(8, instances)
 
-    def _make_solver(self, solver: str, options: Dict[str, Any]):
-        effective = dict(options)
-        if solver_accepts_queue_factory(solver):
-            effective.setdefault("queue_factory", self.cache.queue_for)
-        return create_solver(solver, **effective)
-
     def _run_serial(
         self,
         instances: Sequence[SladeProblem],
@@ -381,7 +382,7 @@ class BatchPlanner:
         options: Dict[str, Any],
     ) -> List[SolveResult]:
         return [
-            self._make_solver(solver, options).solve(problem)
+            _make_solver(self.cache, solver, options).solve(problem)
             for problem in instances
         ]
 
@@ -396,7 +397,7 @@ class BatchPlanner:
         def run(problem: SladeProblem) -> SolveResult:
             # One solver per task: Solver instances carry per-call metadata
             # and are not thread-safe; the cache underneath is.
-            return self._make_solver(solver, options).solve(problem)
+            return _make_solver(self.cache, solver, options).solve(problem)
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, instances))

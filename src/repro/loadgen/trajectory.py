@@ -88,18 +88,17 @@ def entry_from_report(
     label: Optional[str] = None,
     recorded_at: Optional[str] = None,
     sha: Optional[str] = None,
-    opq_core: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Distil one ``loadtest_report`` document into a trajectory entry.
 
     ``label`` names the change being recorded (e.g. ``"PR 6"``);
     ``recorded_at``/``sha`` default to now and the current checkout.
-    ``opq_core`` records which Algorithm 2 construction core served the
-    run (defaults to what :func:`repro.algorithms.opq_vec.resolve_core`
-    would pick here and now) — trajectory numbers from different cores are
-    not comparable, and the gate script warns when they are mixed.
+    The entry's ``opq_core`` records which Algorithm 2 construction core
+    served the run — ``numpy`` when it imports here, else ``python`` — since
+    trajectory numbers from different cores are not comparable, and the
+    gate script warns when they are mixed.
     """
-    from repro.algorithms.opq_vec import resolve_core
+    from repro.algorithms.opq_vec import NUMPY_AVAILABLE
     if report.get("kind") != "loadtest_report":
         raise TrajectoryError(
             f"expected a loadtest_report document; got kind={report.get('kind')!r}"
@@ -111,7 +110,7 @@ def entry_from_report(
         "recorded_at": recorded_at or utc_now_iso(),
         "git_sha": sha or git_sha() or "unknown",
         "label": label,
-        "opq_core": opq_core or resolve_core(),
+        "opq_core": "numpy" if NUMPY_AVAILABLE else "python",
         "profile": report.get("profile"),
         "seed": report.get("seed"),
         "requests": report.get("scheduled", 0),

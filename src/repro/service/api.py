@@ -317,6 +317,10 @@ class ServiceConfig:
     """Tunables shared by :class:`~repro.service.facade.SladeService` and
     :class:`~repro.service.async_service.AsyncSladeService`.
 
+    No tunable picks the Algorithm 2 core: cold OPQ builds use the
+    vectorized core whenever numpy imports and the pure-Python reference
+    otherwise (see :func:`repro.algorithms.opq_vec.build_queue`).
+
     Attributes
     ----------
     solver:
@@ -344,11 +348,6 @@ class ServiceConfig:
         front of the shared tier); ``None`` means a fresh in-memory backend.
     max_cache_entries:
         Optional LRU bound forwarded to the backend.
-    opq_core:
-        Algorithm 2 core for cold OPQ builds: ``"auto"`` (numpy when
-        available), ``"python"``, or ``"numpy"`` (falls back to python when
-        numpy is absent).  ``None`` defers to the ``SLADE_OPQ_CORE``
-        environment variable, then ``auto``.
     drift_window / drift_min_observations / drift_tolerance /
     drift_tolerance_above:
         Per-menu :class:`~repro.crowd.monitoring.QualityMonitor` tunables for
@@ -371,7 +370,6 @@ class ServiceConfig:
     max_wait_seconds: float = 0.01
     cache_backend: Optional[str] = None
     max_cache_entries: Optional[int] = None
-    opq_core: Optional[str] = None
     drift_window: int = 200
     drift_min_observations: int = 30
     drift_tolerance: float = 0.05
@@ -379,13 +377,6 @@ class ServiceConfig:
     drift_check_seconds: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.opq_core is not None and self.opq_core not in (
-            "auto", "python", "numpy"
-        ):
-            raise ServiceError(
-                f"opq_core must be 'auto', 'python', or 'numpy'; "
-                f"got {self.opq_core!r}"
-            )
         if self.max_batch_size < 1:
             raise ServiceError(
                 f"max_batch_size must be >= 1; got {self.max_batch_size}"

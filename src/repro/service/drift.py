@@ -89,8 +89,6 @@ class DriftController:
         of the service so ``/metrics`` is one snapshot).
     window / min_observations / tolerance / tolerance_above:
         Forwarded to each menu's :class:`QualityMonitor`.
-    opq_core:
-        Algorithm 2 core for revalidation builds (matches the cache's).
     """
 
     def __init__(
@@ -101,7 +99,6 @@ class DriftController:
         min_observations: int = 30,
         tolerance: float = 0.05,
         tolerance_above: Optional[float] = None,
-        opq_core: Optional[str] = None,
     ) -> None:
         self.cache = cache
         self.telemetry = telemetry
@@ -109,7 +106,6 @@ class DriftController:
         self.min_observations = min_observations
         self.tolerance = tolerance
         self.tolerance_above = tolerance_above
-        self._opq_core = opq_core
         #: Guards the lineage tables; never held across a build or a
         #: backend round trip.
         self._lock = threading.Lock()
@@ -290,9 +286,7 @@ class DriftController:
         replanned = 0
         for threshold in thresholds:
             seed = self._seed_from_stale(stale, corrected, threshold)
-            queue = build_queue(
-                corrected, threshold, seed=seed, core=self._opq_core
-            )
+            queue = build_queue(corrected, threshold, seed=seed)
             if self.cache.publish(corrected, threshold, queue):
                 replanned += 1
 

@@ -22,21 +22,15 @@ import itertools
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.algorithms.anytime import QUALITY_OPTIMAL
-from repro.algorithms.registry import (
-    available_solvers,
-    solver_accepts_budget,
-    solver_accepts_queue_factory,
-)
+from repro.algorithms.registry import available_solvers, solver_accepts_budget
 from repro.core.errors import SladeError
 from repro.core.problem import SladeProblem
 from repro.core.task import AtomicTask, CrowdsourcingTask
 from repro.engine.backends import CacheBackend, open_backend
 from repro.engine.cache import CacheStats, PlanCache
-from repro.engine.fingerprint import opq_key
 from repro.engine.planner import BatchPlanner
 from repro.engine.telemetry import Telemetry
 from repro.service.api import (
-    CACHE_BYPASS,
     CACHE_HIT,
     CACHE_MISS,
     CACHE_NONE,
@@ -63,58 +57,6 @@ from repro.utils.timing import Stopwatch
 #: Exceptions converted into response error envelopes.  Anything outside this
 #: tuple is a programming error and propagates to the caller.
 _ENVELOPED_ERRORS = (SladeError, KeyError, ValueError, TypeError)
-
-
-class _ProvenanceRecorder:
-    """A queue factory wrapper that classifies one request's cache traffic.
-
-    Injected per request, so the hit/miss attribution is immune to other
-    threads (or other planners sharing the cache) mutating the global
-    counters concurrently.  Membership is checked immediately before
-    delegating; a concurrent eviction or insert of the *same key* between
-    the two steps can mislabel that one request, which is benign — the
-    returned queue is always correct either way.
-    """
-
-    def __init__(self, cache: PlanCache) -> None:
-        self._cache = cache
-        self.hits = 0
-        self.misses = 0
-
-    def __call__(self, bins, threshold):
-        if opq_key(bins, threshold) in self._cache:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return self._cache.queue_for(bins, threshold)
-
-    # The anytime ladder duck-types these off its injected factory: peek
-    # reuses cached frontiers without paying for cold builds, publish lands
-    # budgeted builds back so refined queues overwrite coarse cached ones.
-
-    def peek(self, bins, threshold):
-        queue = self._cache.peek(bins, threshold)
-        if queue is not None:
-            self.hits += 1
-        return queue
-
-    def publish(self, bins, threshold, queue, build_seconds=0.0):
-        stored = self._cache.publish(bins, threshold, queue, build_seconds)
-        self.misses += 1
-        return stored
-
-    def seed_for(self, bins, threshold):
-        # Plan-curve warm starts don't change hit/miss provenance: the build
-        # they accelerate is still accounted as the miss it is.
-        return self._cache.seed_for(bins, threshold)
-
-    @property
-    def label(self) -> str:
-        if self.misses > 0:
-            return CACHE_MISS
-        if self.hits > 0:
-            return CACHE_HIT
-        return CACHE_BYPASS
 
 
 class SladeService:
@@ -165,11 +107,7 @@ class SladeService:
                     telemetry=self.telemetry,
                 )
             self.planner = BatchPlanner(
-                cache=PlanCache(
-                    backend=backend,
-                    telemetry=self.telemetry,
-                    opq_core=self.config.opq_core,
-                ),
+                cache=PlanCache(backend=backend, telemetry=self.telemetry),
                 solver_options=solver_options_dict(self.config.solver_options),
                 verify=self.config.verify,
                 telemetry=self.telemetry,
@@ -184,7 +122,6 @@ class SladeService:
             min_observations=self.config.drift_min_observations,
             tolerance=self.config.drift_tolerance,
             tolerance_above=self.config.drift_tolerance_above,
-            opq_core=self.config.opq_core,
         )
 
     # -- public surface --------------------------------------------------------
@@ -259,21 +196,17 @@ class SladeService:
                 request_id, None, None, exc, watch, batch_size
             )
 
-        # Per-request provenance: inject a recording queue factory instead of
-        # diffing the cache's global counters, which other threads (or other
-        # planners sharing the cache) may advance concurrently.
-        recorder = None
-        if solver_accepts_queue_factory(solver_name):
-            recorder = _ProvenanceRecorder(self.cache)
-            options["queue_factory"] = recorder
         remaining = remaining_budget_seconds(request)
         if (budgeted and solver_accepts_budget(solver_name)
                 and "budget_seconds" not in options):
             options["budget_seconds"] = remaining
         try:
-            result = self.planner.solve(
-                problem, solver=solver_name, options=options, verify=verify
-            )
+            # The cache labels this request from this thread's lookups alone,
+            # so concurrent requests sharing the cache cannot skew it.
+            with self.cache.ledger() as ledger:
+                result = self.planner.solve(
+                    problem, solver=solver_name, options=options, verify=verify
+                )
         except _ENVELOPED_ERRORS as exc:
             if budgeted:
                 self.telemetry.increment("deadline.misses")
@@ -281,7 +214,8 @@ class SladeService:
                 request_id, solver_name, problem, exc, watch, batch_size
             )
 
-        provenance = self._provenance(request, result, recorder, remaining)
+        cache_label = ledger.label
+        provenance = self._provenance(request, result, cache_label, remaining)
         if budgeted:
             met = remaining_budget_seconds(request)
             self.telemetry.increment(
@@ -299,7 +233,7 @@ class SladeService:
             plan=result.plan,
             total_cost=result.total_cost,
             feasible=result.feasible,
-            cache=recorder.label if recorder is not None else CACHE_BYPASS,
+            cache=cache_label,
             elapsed_seconds=watch.elapsed,
             solve_seconds=result.elapsed_seconds,
             batch_size=batch_size,
@@ -311,7 +245,7 @@ class SladeService:
         self,
         request: SolveRequest,
         result: Any,
-        recorder: Optional[_ProvenanceRecorder],
+        cache_label: str,
         remaining_seconds: Optional[float],
     ) -> Provenance:
         """Assemble the response provenance block for a successful solve.
@@ -324,11 +258,10 @@ class SladeService:
         quality = result.metadata.get("quality") or QUALITY_OPTIMAL
         tier = result.metadata.get("tier")
         if tier is None:
-            label = recorder.label if recorder is not None else CACHE_BYPASS
             tier = {
                 CACHE_HIT: TIER_CACHE,
                 CACHE_MISS: TIER_BUILD,
-            }.get(label, TIER_SOLVER)
+            }.get(cache_label, TIER_SOLVER)
         return Provenance(
             quality=quality,
             tier=tier,

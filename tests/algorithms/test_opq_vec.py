@@ -14,15 +14,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.algorithms import opq_vec
 from repro.algorithms.opq import Combination, build_optimal_priority_queue
 from repro.algorithms.opq_vec import (
-    CORE_AUTO,
-    CORE_ENV_VAR,
-    CORE_NUMPY,
-    CORE_PYTHON,
     NUMPY_AVAILABLE,
     _lcm_fits_int64,
     build_optimal_priority_queue_vec,
     build_queue,
-    resolve_core,
 )
 from repro.core.bins import TaskBinSet
 from repro.core.errors import InfeasiblePlanError
@@ -165,32 +160,23 @@ class TestCurveSeeding:
 
 
 class TestCoreSelection:
-    def test_explicit_argument_beats_the_environment(self, monkeypatch):
-        monkeypatch.setenv(CORE_ENV_VAR, CORE_NUMPY)
-        assert resolve_core(CORE_PYTHON) == CORE_PYTHON
-
-    def test_environment_beats_auto(self, monkeypatch):
-        monkeypatch.setenv(CORE_ENV_VAR, CORE_PYTHON)
-        assert resolve_core() == CORE_PYTHON
-        expected = CORE_NUMPY if NUMPY_AVAILABLE else CORE_PYTHON
-        assert resolve_core(CORE_AUTO) == expected
-
-    def test_unknown_core_rejected(self):
-        with pytest.raises(ValueError, match="unknown OPQ core"):
-            resolve_core("cuda")
-
     @needs_numpy
     def test_auto_prefers_numpy_when_available(self, monkeypatch):
-        monkeypatch.delenv(CORE_ENV_VAR, raising=False)
-        assert resolve_core() == CORE_NUMPY
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return build_optimal_priority_queue_vec(*args, **kwargs)
+
+        monkeypatch.setattr(opq_vec, "build_optimal_priority_queue_vec", spy)
+        build_queue(jelly_bin_set(10), 0.9)
+        assert len(calls) == 1
 
     def test_numpy_degrades_to_python_when_absent(self, monkeypatch):
         monkeypatch.setattr(opq_vec, "np", None)
         monkeypatch.setattr(opq_vec, "NUMPY_AVAILABLE", False)
-        assert resolve_core(CORE_NUMPY) == CORE_PYTHON
-        assert resolve_core(CORE_AUTO) == CORE_PYTHON
         # The dispatcher must fall back, not crash, on a slim install.
-        queue = build_queue(jelly_bin_set(10), 0.9, core=CORE_NUMPY)
+        queue = build_queue(jelly_bin_set(10), 0.9)
         reference = build_optimal_priority_queue(jelly_bin_set(10), 0.9)
         assert frontier_bytes(queue) == frontier_bytes(reference)
 
@@ -202,13 +188,13 @@ class TestCoreSelection:
             [(p, 0.9, 0.5) for p in primes], name="wide"
         )
         assert not _lcm_fits_int64(bins)
-        queue = build_queue(bins, 0.7, core=CORE_NUMPY)
+        queue = build_queue(bins, 0.7)
         reference = build_optimal_priority_queue(bins, 0.7)
         assert frontier_bytes(queue) == frontier_bytes(reference)
 
     @needs_numpy
     def test_build_queue_dispatch_matches_both_cores(self):
         bins = smic_bin_set(12)
-        via_python = build_queue(bins, 0.93, core=CORE_PYTHON)
-        via_numpy = build_queue(bins, 0.93, core=CORE_NUMPY)
+        via_python = build_optimal_priority_queue(bins, 0.93)
+        via_numpy = build_queue(bins, 0.93)
         assert frontier_bytes(via_python) == frontier_bytes(via_numpy)

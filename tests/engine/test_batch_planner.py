@@ -176,3 +176,22 @@ class TestHeterogeneousBatches:
         batch = BatchPlanner().solve_many(problems, solver="opq-extended")
         assert batch.all_feasible
         assert batch.stats.cache_hits > 0
+
+
+class TestAnytimeThroughPlanner:
+    """The planner injects the cache object, so the ladder reads and writes it."""
+
+    def test_warm_entry_answers_from_the_cache(self, bins):
+        problem = SladeProblem.homogeneous(30, 0.9, bins)
+        planner = BatchPlanner()
+        planner.solve(problem, "opq")
+        before = planner.cache.stats
+        result = planner.solve(problem, "anytime")
+        assert result.metadata["tier"] == "cache"
+        assert planner.cache.stats.since(before).hits == 1
+
+    def test_cold_solve_publishes_its_build(self, bins):
+        planner = BatchPlanner()
+        planner.solve(SladeProblem.homogeneous(30, 0.9, bins), "anytime")
+        assert len(planner.cache) == 1
+        assert planner.cache.stats.misses == 1

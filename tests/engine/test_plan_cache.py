@@ -4,8 +4,10 @@ import threading
 
 import pytest
 
-from repro.algorithms.opq import build_optimal_priority_queue
+from repro.algorithms.opq import OPQSolver, build_optimal_priority_queue
+from repro.algorithms.opq_extended import OPQExtendedSolver
 from repro.core.bins import TaskBinSet
+from repro.core.problem import SladeProblem
 from repro.engine.cache import PlanCache
 from repro.engine.fingerprint import opq_key
 
@@ -211,3 +213,82 @@ class TestInvalidate:
         assert opq_key(bins, 0.95) not in cache
         assert opq_key(recalibrated, 0.95) in cache
         assert cache.seed_for(recalibrated, 0.95) is not None
+
+
+class TestSolverInjection:
+    """An empty cache has ``len() == 0``, yet solvers must still use it."""
+
+    def test_opq_solver_stores_its_queue(self, bins):
+        cache = PlanCache()
+        OPQSolver(queue_factory=cache).solve(
+            SladeProblem.homogeneous(12, 0.95, bins)
+        )
+        assert (cache.stats.misses, len(cache)) == (1, 1)
+
+    def test_opq_extended_solver_stores_one_queue_per_group(self, bins):
+        cache = PlanCache()
+        problem = SladeProblem.heterogeneous([0.6, 0.7, 0.9, 0.95, 0.99], bins)
+        groups = OPQExtendedSolver(queue_factory=cache).solve(problem).metadata[
+            "groups"
+        ]
+        assert groups > 1
+        assert (cache.stats.misses, len(cache)) == (groups, groups)
+
+
+class TestLedger:
+    """Per-thread lookup outcomes and the miss/hit/bypass label rule."""
+
+    def test_build_is_a_miss(self, bins):
+        cache = PlanCache()
+        with cache.ledger() as ledger:
+            cache(bins, 0.95)
+        assert ledger.label == "miss"
+
+    def test_stored_queue_is_a_hit(self, bins):
+        cache = PlanCache()
+        cache.queue_for(bins, 0.95)
+        with cache.ledger() as ledger:
+            cache(bins, 0.95)
+        assert ledger.label == "hit"
+
+    def test_partial_peek_is_a_hit(self, bins):
+        cache = PlanCache()
+        truncated = build_optimal_priority_queue(bins, 0.95)
+        truncated.complete = False
+        cache.publish(bins, 0.95, truncated)
+        with cache.ledger() as ledger:
+            assert cache.peek(bins, 0.95) is truncated
+        assert ledger.label == "hit"
+        assert cache.stats.partial_hits == 1
+
+    def test_publish_is_a_miss_even_when_not_stored(self, bins):
+        cache = PlanCache()
+        cache.queue_for(bins, 0.95)
+        truncated = build_optimal_priority_queue(bins, 0.95)
+        truncated.complete = False
+        with cache.ledger() as ledger:
+            assert not cache.publish(bins, 0.95, truncated)
+        assert ledger.label == "miss"
+
+    def test_absent_peek_is_a_bypass(self, bins):
+        cache = PlanCache()
+        with cache.ledger() as ledger:
+            assert cache.peek(bins, 0.95) is None
+        assert ledger.label == "bypass"
+
+    def test_other_threads_lookups_stay_out(self, bins):
+        cache = PlanCache()
+        with cache.ledger() as ledger:
+            worker = threading.Thread(target=cache.queue_for, args=(bins, 0.95))
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert ledger.label == "bypass"
+        assert cache.stats.misses == 1
+
+    def test_closed_ledger_stops_recording(self, bins):
+        cache = PlanCache()
+        with cache.ledger() as ledger:
+            pass
+        cache.queue_for(bins, 0.95)
+        assert ledger.label == "bypass"

@@ -134,6 +134,22 @@ class TestCoalescing:
         assert (stats.hits, stats.misses) == (herd - 1, 1)
         assert all(queue is queues[0] for queue in queues)
 
+    def test_each_thread_labels_only_its_own_lookup(self, bins):
+        """The leader's ledger reads miss; every follower's reads hit."""
+        cache = PlanCache(backend=CountingBackend(latency=0.05))
+        herd = 6
+        barrier = threading.Barrier(herd, timeout=10)
+        labels = []
+
+        def request():
+            barrier.wait()
+            with cache.ledger() as ledger:
+                cache.queue_for(bins, 0.97)
+            labels.append(ledger.label)
+
+        run_threads([request] * herd)
+        assert sorted(labels) == ["hit"] * (herd - 1) + ["miss"]
+
     def test_coalesced_requests_resolve_after_leader_failure(self, bins):
         class ExplodingBackend(CountingBackend):
             def __init__(self):

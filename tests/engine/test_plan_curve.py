@@ -13,7 +13,6 @@ counted.
 import pytest
 
 from repro.algorithms.opq import build_optimal_priority_queue
-from repro.algorithms.opq_vec import CORE_PYTHON
 from repro.core.bins import TaskBinSet
 from repro.engine.backends import MemoryBackend
 from repro.engine.cache import PlanCache
@@ -139,15 +138,6 @@ class TestCurveSeeding:
         assert cache.peek(bins, 0.9) is None
         assert backend.evictions == 1
         assert oldest is not None
-
-    def test_explicit_core_is_validated_and_used(self, bins):
-        with pytest.raises(ValueError, match="unknown OPQ core"):
-            PlanCache(opq_core="bogus")
-        cache = PlanCache(opq_core=CORE_PYTHON)
-        queue = cache.queue_for(bins, 0.95)
-        assert frontier_bytes(queue) == frontier_bytes(
-            build_optimal_priority_queue(bins, 0.95)
-        )
 
 
 def frontier_bytes_list(elements):

@@ -151,13 +151,6 @@ class TestNormalisation:
             ServiceConfig(threshold_cap=1.5)
         with pytest.raises(ServiceError):
             ServiceConfig(threshold_floor=0.9, threshold_cap=0.5)
-        with pytest.raises(ServiceError):
-            ServiceConfig(opq_core="cuda")
-
-    def test_opq_core_reaches_the_plan_cache(self, request_for):
-        service = SladeService(ServiceConfig(opq_core="python"))
-        assert service.cache._opq_core == "python"
-        assert service.solve(request_for()).ok
 
 
 class TestWiring:

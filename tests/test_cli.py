@@ -177,28 +177,6 @@ class TestServeCommand:
         assert exit_code == 0
         assert "cache hits/misses" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("core", ["python", "numpy"])
-    def test_opq_core_flag_serves_identical_answers(self, tmp_path, capsys,
-                                                    example4_problem, core):
-        request_line = json.dumps(
-            solve_request_to_dict(SolveRequest(problem=example4_problem))
-        )
-        input_path = self._write_requests(tmp_path / "requests.jsonl", [request_line])
-        exit_code = main(["serve", "--input", input_path, "--opq-core", core])
-        assert exit_code == 0
-        (response,) = [
-            json.loads(line) for line in capsys.readouterr().out.strip().splitlines()
-        ]
-        assert response["ok"]
-        # The cores are byte-identical, so the priced plan must not depend
-        # on which one served the request.
-        baseline = main(["serve", "--input", input_path, "--opq-core", "python"])
-        assert baseline == 0
-        (again,) = [
-            json.loads(line) for line in capsys.readouterr().out.strip().splitlines()
-        ]
-        assert again["total_cost"] == response["total_cost"]
-
 
 class TestProfileCommand:
     def test_profile_prints_timing_and_cumulative_table(self, capsys):
