@@ -5,8 +5,8 @@ Two claims from the service-layer PR are quantified here:
 
 (a) a stream of single requests sharing one ``(menu, threshold)`` pair,
     submitted concurrently to :class:`~repro.service.AsyncSladeService`,
-    completes much faster than solving each request cold — the micro-batching
-    loop turns the stream into shared-menu batches so Algorithm 2 runs once;
+    completes much faster than solving each request cold — every request
+    reads the shared plan cache, so Algorithm 2 runs once;
 
 (b) a *second process* opening the same SQLite cache backend starts with a
     non-zero cache hit rate: its very first request is answered without an
@@ -69,9 +69,7 @@ def test_async_micro_batching_beats_per_request_cold_solves():
         ]
 
     async def scenario():
-        async with AsyncSladeService(
-            config=ServiceConfig(max_batch_size=16, max_wait_seconds=0.005)
-        ) as svc:
+        async with AsyncSladeService(config=ServiceConfig(max_batch_size=16)) as svc:
             return await svc.submit_many(requests)
 
     warm_watch = Stopwatch()

@@ -52,7 +52,7 @@ def main() -> None:
             # team-a's scripted traffic spends exactly 5, the greedy tenant
             # asks for 6 and collects a 429 on the last one.
             server = HttpSladeServer(
-                config=ServiceConfig(max_batch_size=8, max_wait_seconds=0.02),
+                config=ServiceConfig(max_batch_size=8),
                 admission=AdmissionController(rate=0.2, burst=5),
             )
             await server.start("127.0.0.1", 0)

@@ -181,9 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-total-inflight", type=int, default=None,
                        help="global cap on concurrently admitted requests")
     serve.add_argument("--max-batch-size", type=int, default=16,
-                       help="largest micro-batch the HTTP frontend coalesces")
-    serve.add_argument("--max-wait-seconds", type=float, default=0.01,
-                       help="longest an incomplete micro-batch is held open")
+                       help="most queued requests the HTTP frontend flushes "
+                            "as one batch")
     serve.add_argument("--auth-token", default=None, metavar="TOKEN",
                        help="shared secret required on solve endpoints "
                             "('Authorization: Bearer <token>' or "
@@ -440,7 +439,6 @@ def _serve_http(args: argparse.Namespace) -> int:
         verify=not args.no_verify,
         cache_backend=args.cache,
         max_batch_size=args.max_batch_size,
-        max_wait_seconds=args.max_wait_seconds,
         drift_window=args.drift_window,
         drift_min_observations=args.drift_min_observations,
         drift_tolerance=args.drift_tolerance,

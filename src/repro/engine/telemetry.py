@@ -36,11 +36,14 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-#: Queue-wait histogram boundaries (seconds).  Sized around the async
-#: frontend's default ``max_wait_seconds`` of 10 ms: sub-millisecond buckets
-#: show a healthy loop, the top buckets show a saturated executor.
+#: Queue-wait histogram boundaries (seconds).  The async frontend never holds
+#: a flush open, so a request that finds the executor idle waits well under a
+#: millisecond (the low end matches :data:`REMOTE_RTT_BUCKETS`); waits in the
+#: millisecond buckets are time spent queued behind a running batch, and the
+#: top buckets show a saturated executor.
 QUEUE_WAIT_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
+    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
+    0.25, 0.5, 1.0, 2.5,
 )
 
 #: Remote-cache round-trip boundaries (seconds).  Loopback round trips sit in
@@ -124,9 +127,10 @@ class SeriesStats:
         """Upper-bound estimate of the ``q``-quantile from the buckets.
 
         Returns the smallest bucket boundary that covers at least a ``q``
-        fraction of observations (Prometheus ``le`` semantics); ranks landing
-        in the overflow bucket return the observed maximum.  ``None`` when
-        the series is unbucketed or empty.
+        fraction of observations (Prometheus ``le`` semantics), clamped to
+        the observed maximum, so no reading exceeds a value actually seen;
+        ranks landing in the overflow bucket return the maximum itself.
+        ``None`` when the series is unbucketed or empty.
 
         The estimate is exact up to bucket resolution: the true quantile lies
         in ``(previous bound, returned value]`` — pinned by the hypothesis
@@ -142,7 +146,7 @@ class SeriesStats:
         for bound, bucket in zip(self.bucket_bounds, self.bucket_counts):
             running += bucket
             if running >= rank:
-                return bound
+                return min(bound, self.maximum)
         return self.maximum
 
     def cumulative_buckets(self) -> List[Tuple[float, int]]:

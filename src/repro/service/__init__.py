@@ -13,8 +13,8 @@ service.
   :class:`~repro.engine.planner.BatchPlanner`, and never raises for
   request-level failures.
 * :mod:`repro.service.async_service` — :class:`AsyncSladeService`, the
-  asyncio micro-batching frontend that coalesces streaming ``submit()``
-  traffic into the shared-menu batches the plan cache exploits.
+  asyncio frontend that flushes queued ``submit()`` traffic through the
+  facade off the event loop.
 * :mod:`repro.service.transport` — the HTTP/1.1 server
   (:class:`HttpSladeServer`) plus per-tenant admission control
   (:class:`AdmissionController`), all stdlib.

@@ -10,9 +10,8 @@ dataclasses so they serialise cleanly (see
 (JSON lines on the ``repro serve`` CLI, futures in the async frontend).
 
 :class:`ServiceConfig` collects the tunables shared by the synchronous
-facade and the async micro-batching frontend: the default solver, per-solver
-options, threshold clamping bounds, micro-batch limits, and the plan-cache
-backend spec.
+facade and the async frontend: the default solver, per-solver options,
+threshold clamping bounds, the flush bound, and the plan-cache backend spec.
 """
 
 from __future__ import annotations
@@ -337,9 +336,9 @@ class ServiceConfig:
         expensive; a floor enforces a minimum quality of service.  ``None``
         disables the respective bound.
     max_batch_size:
-        Largest micro-batch the async frontend coalesces before flushing.
-    max_wait_seconds:
-        Longest the async frontend holds an incomplete micro-batch open.
+        Most requests the async frontend flushes as one batch.  A flush
+        takes what is already queued, up to this bound, and never waits
+        for more.
     cache_backend:
         Plan-cache backend spec for :func:`repro.engine.backends.open_backend`
         (``"memory"``, ``"memory:<N>"``, ``"sqlite:<path>"``,
@@ -367,7 +366,6 @@ class ServiceConfig:
     threshold_floor: Optional[float] = None
     threshold_cap: Optional[float] = None
     max_batch_size: int = 16
-    max_wait_seconds: float = 0.01
     cache_backend: Optional[str] = None
     max_cache_entries: Optional[int] = None
     drift_window: int = 200
@@ -380,10 +378,6 @@ class ServiceConfig:
         if self.max_batch_size < 1:
             raise ServiceError(
                 f"max_batch_size must be >= 1; got {self.max_batch_size}"
-            )
-        if self.max_wait_seconds < 0:
-            raise ServiceError(
-                f"max_wait_seconds must be >= 0; got {self.max_wait_seconds}"
             )
         for label, bound in (
             ("threshold_floor", self.threshold_floor),

@@ -1,20 +1,21 @@
-"""The asyncio frontend: coalesce streaming requests into micro-batches.
+"""The asyncio frontend: solve streaming requests off the event loop.
 
-Production traffic arrives one request at a time, but the solver stack is at
-its best when requests sharing a ``(bin set, threshold)`` pair are solved
-back-to-back against one plan cache.  :class:`AsyncSladeService` bridges the
-two shapes: concurrent ``submit()`` calls enqueue requests, a single dispatch
-loop coalesces them — up to ``max_batch_size`` per flush, holding an
-incomplete batch open at most ``max_wait_seconds`` — and each coalesced batch
-executes through the synchronous :class:`~repro.service.facade.SladeService`
-on a worker thread, off the event loop.  Per-request futures resolve with the
-same structured :class:`~repro.service.api.SolveResponse` the sync facade
-returns (including the size of the batch the request rode in).
+Production traffic arrives one request at a time, while the synchronous
+:class:`~repro.service.facade.SladeService` blocks on the solver stack.
+:class:`AsyncSladeService` bridges the two: concurrent ``submit()`` calls
+enqueue requests, and a single dispatch loop flushes whatever is queued — up
+to ``ServiceConfig.max_batch_size`` per flush, never waiting for more — as
+one batch through the facade on a worker thread, off the event loop.
+Per-request futures resolve with the same structured
+:class:`~repro.service.api.SolveResponse` the sync facade returns (including
+the size of the batch the request rode in).
 
-Because a batch executes while the loop is already accepting the next one,
-arrival bursts naturally pile into the following flush: streaming
-single-request traffic turns into exactly the shared-menu batches the plan
-cache was built to exploit.
+No flush is held open for batch-mates: a batch shares nothing with the next
+except the plan cache, which every request reads anyway.  Batches form when
+requests queue behind a running one, and arrivals during a flush leave
+together in the next.  The requests of one
+:meth:`AsyncSladeService.submit_many` call are all queued before the loop
+runs again, so they leave in one flush.
 
 Shutdown is clean: :meth:`close` rejects new submissions, then drains — every
 request accepted before the close is solved and its future resolved.
@@ -42,7 +43,7 @@ _QueueItem = Tuple[SolveRequest, "asyncio.Future[SolveResponse]", float]
 
 
 class AsyncSladeService:
-    """Micro-batching asyncio frontend over a :class:`SladeService`.
+    """Asyncio frontend over a :class:`SladeService`.
 
     Parameters
     ----------
@@ -51,10 +52,8 @@ class AsyncSladeService:
         built from ``config`` when omitted.
     config:
         Service tunables used when building the facade.  Mutually exclusive
-        with ``service`` (passing both raises :class:`ValueError`); batching
-        limits come from the facade's config unless overridden below.
-    max_batch_size / max_wait_seconds:
-        Optional overrides of the facade config's micro-batching limits.
+        with ``service`` (passing both raises :class:`ValueError`); either
+        way the flush bound is the facade config's ``max_batch_size``.
 
     Usage::
 
@@ -66,30 +65,12 @@ class AsyncSladeService:
         self,
         service: Optional[SladeService] = None,
         config: Optional[ServiceConfig] = None,
-        max_batch_size: Optional[int] = None,
-        max_wait_seconds: Optional[float] = None,
     ) -> None:
         if service is None:
             service = SladeService(config=config)
         elif config is not None:
             raise ValueError("pass either service or config, not both")
         self.service = service
-        self.max_batch_size = (
-            max_batch_size
-            if max_batch_size is not None
-            else service.config.max_batch_size
-        )
-        self.max_wait_seconds = (
-            max_wait_seconds
-            if max_wait_seconds is not None
-            else service.config.max_wait_seconds
-        )
-        if self.max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1; got {self.max_batch_size}")
-        if self.max_wait_seconds < 0:
-            raise ValueError(
-                f"max_wait_seconds must be >= 0; got {self.max_wait_seconds}"
-            )
         self._queue: Optional["asyncio.Queue[object]"] = None
         self._loop_task: Optional["asyncio.Task[None]"] = None
         self._closed = False
@@ -142,8 +123,8 @@ class AsyncSladeService:
     async def submit(self, request: SolveRequest) -> SolveResponse:
         """Enqueue one request and await its structured response.
 
-        Concurrent submitters are coalesced into shared micro-batches; each
-        caller gets back only its own response.  Solver- and validation-level
+        Requests queued while a batch runs share the next flush; each caller
+        gets back only its own response.  Solver- and validation-level
         failures resolve the future normally with an ``ok=False`` response —
         they never raise here.
         """
@@ -160,52 +141,32 @@ class AsyncSladeService:
         """Submit concurrently and gather responses in submission order."""
         return list(await asyncio.gather(*(self.submit(r) for r in requests)))
 
-    # -- the micro-batching loop -----------------------------------------------
+    # -- the dispatch loop -----------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
         assert self._queue is not None
         queue = self._queue
-        loop = asyncio.get_running_loop()
-        shutting_down = False
-        while not shutting_down:
-            head = await queue.get()
-            if head is _SHUTDOWN:
-                break
-            batch: List[_QueueItem] = [head]  # type: ignore[list-item]
-            deadline = loop.time() + self.max_wait_seconds
-            while len(batch) < self.max_batch_size:
-                remaining = deadline - loop.time()
-                try:
-                    if remaining <= 0:
-                        item = queue.get_nowait()
-                    else:
-                        item = await asyncio.wait_for(queue.get(), remaining)
-                except (asyncio.QueueEmpty, asyncio.TimeoutError):
-                    break
+        limit = self.service.config.max_batch_size
+        closing = False
+        # After the shutdown sentinel nothing new is accepted: keep flushing
+        # until everything queued before it is answered, then stop.
+        while not (closing and queue.empty()):
+            # Take what is already queued, up to the bound; never wait for more.
+            batch: List[_QueueItem] = []
+            item = await queue.get()
+            while True:
                 if item is _SHUTDOWN:
-                    shutting_down = True
+                    closing = True
+                else:
+                    batch.append(item)  # type: ignore[arg-type]
+                if len(batch) == limit or queue.empty():
                     break
-                batch.append(item)  # type: ignore[arg-type]
-            await self._execute(batch)
-        # A submit racing close() can enqueue behind the sentinel; drain so
-        # every accepted request is answered before the loop exits.
-        await self._drain_after_shutdown(queue)
-
-    async def _drain_after_shutdown(self, queue: "asyncio.Queue[object]") -> None:
-        pending: List[_QueueItem] = []
-        while True:
-            try:
                 item = queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if item is _SHUTDOWN:
-                continue
-            pending.append(item)  # type: ignore[arg-type]
-        for start in range(0, len(pending), self.max_batch_size):
-            await self._execute(pending[start:start + self.max_batch_size])
+            if batch:
+                await self._execute(batch)
 
     async def _execute(self, batch: List[_QueueItem]) -> None:
-        """Run one coalesced batch off the event loop and resolve its futures."""
+        """Run one batch off the event loop and resolve its futures."""
         requests = [request for request, _future, _enqueued in batch]
         loop = asyncio.get_running_loop()
         telemetry = self.service.telemetry

@@ -1,10 +1,10 @@
-"""The asyncio HTTP server in front of the micro-batching service frontend.
+"""The asyncio HTTP server in front of the async service frontend.
 
 :class:`HttpSladeServer` binds the stdlib-only HTTP/1.1 layer
 (:mod:`repro.service.transport.http11`) onto one shared
-:class:`~repro.service.async_service.AsyncSladeService`, so concurrent
-requests from independent connections coalesce into the same planner
-micro-batches and OPQ cache a single-process deployment already exploits.
+:class:`~repro.service.async_service.AsyncSladeService`, so requests from
+independent connections share the planner and OPQ cache a single-process
+deployment already exploits.
 
 Routes
 ------
@@ -49,9 +49,9 @@ quota.  ``/healthz`` and ``/metrics`` stay open for probes and scrapers.
 
 Deadline propagation: ``deadline_ms`` on a request is converted to an
 absolute instant when the body is parsed, so time spent queueing (admission,
-micro-batch coalescing) counts against the budget.  A budget already blown
-at parse is rejected with a structured 503 envelope before the request is
-ever submitted — an expired-in-queue request never reaches the planner.
+waiting behind a running batch) counts against the budget.  A budget already
+blown at parse is rejected with a structured 503 envelope before the request
+is ever submitted — an expired-in-queue request never reaches the planner.
 
 Shutdown is clean: :meth:`HttpSladeServer.close` stops accepting
 connections, lets every in-flight request finish and flush its response,
@@ -386,8 +386,8 @@ class HttpSladeServer:
         # charge is refunded and the real tenant admitted instead.
         provisional = request.header("x-tenant") or DEFAULT_TENANT
         # The budget clock starts when the request is in hand, before any
-        # queueing (admission, executor scheduling, micro-batch coalescing)
-        # can eat into it.
+        # queueing (admission, executor scheduling, a running batch) can eat
+        # into it.
         received_at = time.monotonic()
         try:
             ticket = self.admission.admit(provisional)

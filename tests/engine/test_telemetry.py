@@ -171,9 +171,21 @@ class TestHistogramBuckets:
 
     def test_default_queue_wait_bounds_are_sorted_and_cover_the_flush_window(self):
         assert list(QUEUE_WAIT_BUCKETS) == sorted(QUEUE_WAIT_BUCKETS)
-        # The async frontend's default max_wait_seconds (10 ms) must fall on
-        # a boundary so "held the full window" is directly readable.
+        # A request that finds the executor idle waits well under 1 ms, so
+        # the low bounds must resolve that; the HTTP transport tests read
+        # the 10 ms line, so it stays a boundary too.
+        assert [b for b in QUEUE_WAIT_BUCKETS if b < 0.001] == [0.0001, 0.00025, 0.0005]
         assert 0.01 in QUEUE_WAIT_BUCKETS
+
+    def test_queue_wait_percentiles_never_exceed_the_observed_max(self):
+        telemetry = Telemetry()
+        for wait in (0.0002, 0.0003, 0.0004):
+            telemetry.observe(
+                "service.queue_wait_seconds", wait, buckets=QUEUE_WAIT_BUCKETS
+            )
+        waits = telemetry.series("service.queue_wait_seconds")
+        assert waits.percentile(0.5) <= waits.maximum
+        assert waits.percentile(0.99) == 0.0004
 
 
 class TestPrometheusRendering:

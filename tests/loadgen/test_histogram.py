@@ -113,8 +113,15 @@ class TestPercentileEdges:
         histogram = LatencyHistogram()
         histogram.record(0.003)
         p50 = histogram.percentile(0.5)
-        index = bisect_left(LATENCY_BUCKETS, 0.003)
-        assert p50 == LATENCY_BUCKETS[index]
+        # The bucket's upper bound is clamped to the sample itself.
+        assert p50 == 0.003
+
+    def test_no_percentile_exceeds_the_observed_max(self):
+        histogram = LatencyHistogram()
+        for _ in range(5):
+            histogram.record(0.0101)
+        assert histogram.percentile(0.999) == 0.0101
+        assert histogram.summary()["p999"] <= histogram.maximum
 
     def test_merge_rejects_different_bounds(self):
         one = LatencyHistogram()

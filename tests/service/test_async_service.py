@@ -1,9 +1,9 @@
-"""Tests for the async micro-batching frontend.
+"""Tests for the async frontend's dispatch loop.
 
-Covers the coalescing loop's edge cases from the PR checklist: a single
-request flushed by timeout, a burst larger than the batch bound split across
-flushes, failures isolated to their own response, and clean shutdown with
-pending requests.
+Covers the flush loop's edge cases: a lone request flushed at once, requests
+queued behind a running batch leaving together, a burst larger than the
+batch bound split across flushes, failures isolated to their own response,
+and clean shutdown with pending requests.
 """
 
 import asyncio
@@ -33,37 +33,61 @@ def request_for(example4_problem):
 
 
 class TestMicroBatching:
-    def test_single_request_flushed_by_timeout(self, request_for):
+    def test_lone_request_is_flushed_without_waiting(self, request_for):
         async def scenario():
-            async with AsyncSladeService(
-                config=ServiceConfig(max_batch_size=8, max_wait_seconds=0.02)
-            ) as svc:
-                return await svc.submit(request_for(request_id="lonely"))
+            async with AsyncSladeService(config=ServiceConfig()) as svc:
+                response = await svc.submit(request_for(request_id="lonely"))
+                return response, svc.telemetry.series("service.queue_wait_seconds")
 
-        response = run(scenario())
-        # The batch never filled; the timeout must flush it as a singleton.
+        response, waits = run(scenario())
+        # Nothing else is queued, so the request leaves as a singleton at
+        # once: no flush is held open for batch-mates.
         assert response.ok
         assert response.request_id == "lonely"
         assert response.batch_size == 1
+        assert waits.count == 1
+        assert waits.maximum < 0.005
+
+    def test_requests_queued_behind_a_running_batch_share_the_next_flush(
+        self, request_for, blocking_facade
+    ):
+        facade = blocking_facade
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            async with AsyncSladeService(service=facade) as svc:
+                first = asyncio.ensure_future(svc.submit(request_for(request_id="first")))
+                assert await loop.run_in_executor(None, facade.entered.wait, 30)
+                rest = [
+                    asyncio.ensure_future(svc.submit(request_for(request_id=f"r{i}")))
+                    for i in range(5)
+                ]
+                # Callbacks run in FIFO order, so the five submissions above
+                # are queued before the blocked batch is released.
+                loop.call_soon(facade.release.set)
+                responses = await asyncio.gather(first, *rest)
+                return responses, svc.telemetry.counter("service.flushes")
+
+        responses, flushes = run(scenario())
+        assert all(r.ok for r in responses)
+        assert responses[0].batch_size == 1
+        assert [r.batch_size for r in responses[1:]] == [5] * 5
+        assert flushes == 2
 
     def test_concurrent_submissions_coalesce(self, request_for):
         async def scenario():
-            async with AsyncSladeService(
-                config=ServiceConfig(max_batch_size=8, max_wait_seconds=0.05)
-            ) as svc:
+            async with AsyncSladeService(config=ServiceConfig(max_batch_size=8)) as svc:
                 return await svc.submit_many([request_for() for _ in range(6)])
 
         responses = run(scenario())
         assert all(r.ok for r in responses)
-        # All six were submitted before the first flush deadline, so at
+        # All six were queued before the dispatch loop ran again, so at
         # least one flush must have carried multiple requests.
         assert max(r.batch_size for r in responses) > 1
 
     def test_burst_larger_than_max_batch_splits_across_flushes(self, request_for):
         async def scenario():
-            async with AsyncSladeService(
-                config=ServiceConfig(max_batch_size=2, max_wait_seconds=0.05)
-            ) as svc:
+            async with AsyncSladeService(config=ServiceConfig(max_batch_size=2)) as svc:
                 return await svc.submit_many(
                     [request_for(request_id=f"r{i}") for i in range(5)]
                 )
@@ -78,9 +102,7 @@ class TestMicroBatching:
 
     def test_failure_isolated_to_its_own_response(self, request_for):
         async def scenario():
-            async with AsyncSladeService(
-                config=ServiceConfig(max_batch_size=8, max_wait_seconds=0.05)
-            ) as svc:
+            async with AsyncSladeService(config=ServiceConfig(max_batch_size=8)) as svc:
                 return await svc.submit_many(
                     [
                         request_for(request_id="good-1"),
@@ -100,9 +122,7 @@ class TestMicroBatching:
 class TestLifecycle:
     def test_clean_shutdown_resolves_pending_requests(self, request_for):
         async def scenario():
-            svc = AsyncSladeService(
-                config=ServiceConfig(max_batch_size=4, max_wait_seconds=0.05)
-            )
+            svc = AsyncSladeService(config=ServiceConfig(max_batch_size=4))
             await svc.start()
             pending = [
                 asyncio.ensure_future(svc.submit(request_for(request_id=f"p{i}")))
@@ -147,24 +167,6 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             AsyncSladeService(service=SladeService(), config=ServiceConfig())
 
-    def test_batching_overrides(self):
-        svc = AsyncSladeService(
-            config=ServiceConfig(max_batch_size=16),
-            max_batch_size=4,
-            max_wait_seconds=0.0,
-        )
-        assert svc.max_batch_size == 4
-        assert svc.max_wait_seconds == 0.0
-
-    def test_zero_wait_still_serves(self, request_for):
-        async def scenario():
-            async with AsyncSladeService(
-                config=ServiceConfig(max_batch_size=4, max_wait_seconds=0.0)
-            ) as svc:
-                return await svc.submit_many([request_for() for _ in range(3)])
-
-        responses = run(scenario())
-        assert all(r.ok for r in responses)
 
 
 class TestSharedCacheAcrossFrontends:

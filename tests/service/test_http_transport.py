@@ -26,6 +26,7 @@ from repro.core.bins import TaskBinSet
 from repro.core.problem import SladeProblem
 from repro.datasets.jelly import jelly_bin_set
 from repro.service import (
+    AsyncSladeService,
     ServiceConfig,
     SladeHttpClient,
     SladeService,
@@ -259,11 +260,11 @@ class TestTransportErrors:
 
 
 class TestMicroBatchCoalescing:
-    def test_concurrent_clients_share_one_micro_batch(self):
+    def test_concurrent_clients_share_one_micro_batch(self, blocking_facade):
         """Acceptance criterion: concurrency provably coalesces, asserted
         via the /metrics batch-size counters."""
-        config = ServiceConfig(max_batch_size=8, max_wait_seconds=0.15)
-        with ServerHandle(config=config) as handle:
+        service = AsyncSladeService(service=blocking_facade)
+        with ServerHandle(service=service) as handle:
             barrier = threading.Barrier(6)
             replies = [None] * 6
 
@@ -280,6 +281,14 @@ class TestMicroBatchCoalescing:
             ]
             for thread in threads:
                 thread.start()
+            # The first flush blocks in the facade; release it once all six
+            # solves are in flight, so the rest are queued behind it.
+            assert blocking_facade.entered.wait(timeout=30)
+            probe = handle.client()
+            deadline = time.monotonic() + 30
+            while probe.healthz().payload["inflight_solves"] < 6:
+                assert time.monotonic() < deadline, "solves never all in flight"
+            blocking_facade.release.set()
             for thread in threads:
                 thread.join(timeout=30)
             assert all(reply is not None for reply in replies)

@@ -146,8 +146,6 @@ class TestNormalisation:
         with pytest.raises(ServiceError):
             ServiceConfig(max_batch_size=0)
         with pytest.raises(ServiceError):
-            ServiceConfig(max_wait_seconds=-1.0)
-        with pytest.raises(ServiceError):
             ServiceConfig(threshold_cap=1.5)
         with pytest.raises(ServiceError):
             ServiceConfig(threshold_floor=0.9, threshold_cap=0.5)

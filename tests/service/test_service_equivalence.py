@@ -87,7 +87,7 @@ class TestAsyncEquivalence:
 
         async def scenario():
             async with AsyncSladeService(
-                config=ServiceConfig(max_batch_size=4, max_wait_seconds=0.05)
+                config=ServiceConfig(max_batch_size=4)
             ) as svc:
                 return await svc.submit_many(requests)
 
