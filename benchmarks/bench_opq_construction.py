@@ -25,10 +25,7 @@ import pytest
 
 from benchmarks.conftest import record_result, report
 from repro.algorithms.opq import build_optimal_priority_queue
-from repro.algorithms.opq_vec import (
-    NUMPY_AVAILABLE,
-    build_optimal_priority_queue_vec,
-)
+from repro.algorithms.opq_vec import build_optimal_priority_queue_vec
 from repro.core.bins import TaskBinSet
 from repro.datasets.jelly import jelly_bin_set
 from repro.datasets.smic import smic_bin_set
@@ -78,7 +75,6 @@ def _best_of(builder, rounds: int = 3) -> float:
     return best
 
 
-@pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy core not importable")
 def test_vectorized_core_speedup_gate():
     """The vectorized core must be >= 10x faster cold with identical plans.
 

@@ -238,16 +238,6 @@ def main() -> None:
     ]
     if history:
         baseline = history[-1]
-        # Entries recorded before the vectorized core existed carry no
-        # opq_core field; they were all built by the pure-Python core.
-        baseline_core = baseline.get("opq_core", "python")
-        if baseline_core != fresh["opq_core"]:
-            print(
-                f"  NOTICE: OPQ core changed — baseline was recorded with "
-                f"the {baseline_core!r} core, this run used "
-                f"{fresh['opq_core']!r}; absolute numbers are not directly "
-                f"comparable (the wide tolerance band still applies)"
-            )
         violations = gate_entry(
             fresh,
             baseline,

@@ -28,6 +28,8 @@ setup(
     python_requires=">=3.8",
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # SciPy 1.6 is the first with linprog(method="highs").
+    install_requires=["numpy", "scipy>=1.6"],
     entry_points={
         "console_scripts": [
             # Historical name used throughout the docs, plus the package name.

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.algorithms.base import Solver
 from repro.core.bins import TaskBin
@@ -169,6 +167,11 @@ class CIPBaselineSolver(Solver):
         demands: Dict[int, float],
     ) -> np.ndarray:
         """Solve the LP relaxation ``min c^T y  s.t.  U y >= v, y >= 0``."""
+        # Imported here, not at module level: scipy roughly doubles the
+        # import time and memory of a server that never runs this baseline.
+        from scipy import sparse
+        from scipy.optimize import linprog
+
         task_index = {task_id: row for row, task_id in enumerate(demands)}
         rows: List[int] = []
         cols: List[int] = []

@@ -39,16 +39,17 @@ grid and under hypothesis-generated menus.  Three details make that hold:
    so exact-tie survivors match the reference's first-wins behaviour.
 
 **Core selection.**  :func:`build_queue`, the entry point the plan cache,
-the anytime ladder and the drift sweep call, runs this core whenever numpy
-imports and the menu's LCMs fit int64, and the pure-Python reference
-otherwise.  The reference stays the equivalence suite's oracle.
+the anytime ladder and the drift sweep call, runs this core whenever the LCM
+of the menu's distinct cardinalities fits int64, and the pure-Python
+reference otherwise.  The reference stays the equivalence suite's oracle.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.algorithms.opq import (
     Combination,
@@ -57,26 +58,19 @@ from repro.algorithms.opq import (
 )
 from repro.core.bins import TaskBinSet
 from repro.core.errors import InfeasiblePlanError
-from repro.utils.logmath import residual_from_reliability
-
-try:  # pragma: no cover - exercised via the fallback tests' monkeypatching
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    np = None  # type: ignore[assignment]
-
-#: Whether the vectorized core can run in this interpreter.
-NUMPY_AVAILABLE = np is not None
+from repro.utils.logmath import lcm_of, residual_from_reliability
 
 #: Running LCMs are tracked in int64; a menu whose distinct cardinalities
-#: could multiply past this bound is routed to the arbitrary-precision
-#: Python core instead (the product bounds every reachable LCM).
+#: have an LCM past this bound is routed to the arbitrary-precision Python
+#: core instead.  Every combination's LCM divides the menu's, and so does
+#: every intermediate ``np.lcm`` of two such divisors, so none exceeds it.
 _LCM_SAFE_LIMIT = 2 ** 62
 
 
 def _lcm_fits_int64(bins: TaskBinSet) -> bool:
     """Whether every reachable LCM of the menu fits the int64 sweep arrays."""
-    product = math.prod({task_bin.cardinality for task_bin in bins.bins()})
-    return product < _LCM_SAFE_LIMIT
+    menu_lcm = lcm_of(task_bin.cardinality for task_bin in bins.bins())
+    return menu_lcm < _LCM_SAFE_LIMIT
 
 
 def build_queue(
@@ -87,13 +81,13 @@ def build_queue(
     deadline: Optional[float] = None,
     seed: Optional[Iterable[Combination]] = None,
 ) -> OptimalPriorityQueue:
-    """Build the OPQ with the vectorized core, or the reference when it can't run.
+    """Build the OPQ with the vectorized core, or the reference past int64 LCMs.
 
     The parameters are those of
     :func:`~repro.algorithms.opq.build_optimal_priority_queue`, and both
     cores return byte-identical queues, so the choice is invisible to callers.
     """
-    if NUMPY_AVAILABLE and _lcm_fits_int64(bins):
+    if _lcm_fits_int64(bins):
         return build_optimal_priority_queue_vec(
             bins, threshold,
             max_assignments=max_assignments,
@@ -155,11 +149,6 @@ def build_optimal_priority_queue_vec(
     breadth-first analogues of the reference's depth-first counters, not
     equal to them.
     """
-    if np is None:  # pragma: no cover - callers dispatch via build_queue
-        raise RuntimeError(
-            "the vectorized OPQ core needs numpy; use build_queue() for "
-            "automatic fallback"
-        )
     demand = residual_from_reliability(threshold)
     ordered_bins = bins.bins()
     bin_count = len(ordered_bins)

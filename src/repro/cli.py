@@ -251,9 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated reliability thresholds to build")
     profile.add_argument("--max-cardinality", type=int, default=20,
                          help="largest task bin cardinality |B|")
-    profile.add_argument("--core", default=None, choices=["python", "numpy"],
-                         help="OPQ construction core (default: numpy when "
-                              "importable, else python)")
+    profile.add_argument("--core", default="numpy", choices=["python", "numpy"],
+                         help="OPQ construction core (default: numpy)")
     profile.add_argument("--repeat", type=int, default=3,
                          help="build each threshold this many times")
     profile.add_argument("--top", type=int, default=15,
@@ -671,10 +670,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import time
 
     from repro.algorithms.opq import build_optimal_priority_queue
-    from repro.algorithms.opq_vec import (
-        NUMPY_AVAILABLE,
-        build_optimal_priority_queue_vec,
-    )
+    from repro.algorithms.opq_vec import build_optimal_priority_queue_vec
 
     if args.repeat < 1:
         raise SladeError(f"--repeat must be >= 1; got {args.repeat}")
@@ -683,11 +679,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     thresholds = _parse_grid(args.thresholds, float, "--thresholds")
     bins = jelly_bin_set(args.max_cardinality) if args.dataset == "jelly" \
         else smic_bin_set(args.max_cardinality)
-    core = args.core or ("numpy" if NUMPY_AVAILABLE else "python")
-    if core == "numpy" and not NUMPY_AVAILABLE:
-        raise SladeError("--core numpy needs numpy, which is not importable")
     build = (
-        build_optimal_priority_queue_vec if core == "numpy"
+        build_optimal_priority_queue_vec if args.core == "numpy"
         else build_optimal_priority_queue
     )
 
@@ -704,7 +697,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         per_threshold.append((threshold, best, len(queue)))
 
     print(f"dataset            : {args.dataset} (|B| <= {args.max_cardinality})")
-    print(f"core               : {core}")
+    print(f"core               : {args.core}")
     print(f"repeat             : {args.repeat} (best-of shown per threshold)")
     print()
     print(f"{'threshold':>9}  {'build (ms)':>10}  {'frontier':>8}")

@@ -93,12 +93,7 @@ def entry_from_report(
 
     ``label`` names the change being recorded (e.g. ``"PR 6"``);
     ``recorded_at``/``sha`` default to now and the current checkout.
-    The entry's ``opq_core`` records which Algorithm 2 construction core
-    served the run — ``numpy`` when it imports here, else ``python`` — since
-    trajectory numbers from different cores are not comparable, and the
-    gate script warns when they are mixed.
     """
-    from repro.algorithms.opq_vec import NUMPY_AVAILABLE
     if report.get("kind") != "loadtest_report":
         raise TrajectoryError(
             f"expected a loadtest_report document; got kind={report.get('kind')!r}"
@@ -110,7 +105,6 @@ def entry_from_report(
         "recorded_at": recorded_at or utc_now_iso(),
         "git_sha": sha or git_sha() or "unknown",
         "label": label,
-        "opq_core": "numpy" if NUMPY_AVAILABLE else "python",
         "profile": report.get("profile"),
         "seed": report.get("seed"),
         "requests": report.get("scheduled", 0),

@@ -1,5 +1,10 @@
 """Tests for the CIP baseline solver (Section 4.3)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.algorithms.baseline import CIPBaselineSolver
@@ -68,3 +73,20 @@ class TestBaselineBehaviour:
         problem = SladeProblem.homogeneous(20, 0.9, table1_bins)
         solver = CIPBaselineSolver(chunk_size=10, rounding_boost=1.0, seed=0)
         assert solver.solve(problem).feasible
+
+
+class TestScipyStaysOffTheServingPath:
+    def test_cli_and_server_import_without_scipy(self):
+        """Only the baseline's LP solve imports scipy; a server never pays."""
+        src_root = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = f"{src_root}{os.pathsep}{env.get('PYTHONPATH', '')}"
+        probe = (
+            "import sys, repro.cli, repro.service.transport.server; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert completed.stdout.strip() == "[]"

@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.algorithms import opq_vec
 from repro.algorithms.opq import Combination, build_optimal_priority_queue
 from repro.algorithms.opq_vec import (
-    NUMPY_AVAILABLE,
     _lcm_fits_int64,
     build_optimal_priority_queue_vec,
     build_queue,
@@ -24,12 +23,13 @@ from repro.core.errors import InfeasiblePlanError
 from repro.datasets.jelly import jelly_bin_set
 from repro.datasets.smic import smic_bin_set
 
-needs_numpy = pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not importable")
-
-#: The golden grid: both evaluation menus at the paper-trend thresholds.
+#: The golden grid: both evaluation menus at the paper-trend thresholds, at
+#: |B| = 20 and at the |B| = 25 the cold-menus benchmark serves.
 GOLDEN_GRID = [
     (bins, threshold)
-    for bins in (jelly_bin_set(20), smic_bin_set(20))
+    for bins in (
+        jelly_bin_set(20), smic_bin_set(20), jelly_bin_set(25), smic_bin_set(25)
+    )
     for threshold in (0.87, 0.9, 0.95, 0.97, 0.99)
 ]
 
@@ -76,7 +76,6 @@ def assert_byte_identical(bins, threshold, **kwargs):
     return reference
 
 
-@needs_numpy
 class TestExactEquivalence:
     @pytest.mark.parametrize(
         "bins,threshold", GOLDEN_GRID,
@@ -108,7 +107,6 @@ class TestExactEquivalence:
         assert queue.stats["inserted"] == len(queue)
 
 
-@needs_numpy
 class TestCurveSeeding:
     def seeded_equals_cold(self, bins, target, donor):
         cold = build_optimal_priority_queue_vec(bins, target)
@@ -122,6 +120,11 @@ class TestCurveSeeding:
 
     def test_seed_from_lower_threshold_is_byte_identical(self):
         self.seeded_equals_cold(smic_bin_set(20), target=0.97, donor=0.9)
+
+    def test_seeds_from_either_side_at_25_bins_are_byte_identical(self):
+        bins = smic_bin_set(25)
+        self.seeded_equals_cold(bins, target=0.95, donor=0.99)
+        self.seeded_equals_cold(bins, target=0.95, donor=0.9)
 
     def test_python_core_accepts_the_same_seed(self):
         bins = jelly_bin_set(20)
@@ -159,30 +162,39 @@ class TestCurveSeeding:
         assert frontier_bytes(warm) == frontier_bytes(cold)
 
 
+@pytest.fixture
+def vec_calls(monkeypatch):
+    """Record each call :func:`build_queue` makes into the vectorized core."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return build_optimal_priority_queue_vec(*args, **kwargs)
+
+    monkeypatch.setattr(opq_vec, "build_optimal_priority_queue_vec", spy)
+    return calls
+
+
 class TestCoreSelection:
-    @needs_numpy
-    def test_auto_prefers_numpy_when_available(self, monkeypatch):
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return build_optimal_priority_queue_vec(*args, **kwargs)
-
-        monkeypatch.setattr(opq_vec, "build_optimal_priority_queue_vec", spy)
+    def test_auto_prefers_numpy_when_available(self, vec_calls):
         build_queue(jelly_bin_set(10), 0.9)
-        assert len(calls) == 1
+        assert len(vec_calls) == 1
 
-    def test_numpy_degrades_to_python_when_absent(self, monkeypatch):
-        monkeypatch.setattr(opq_vec, "np", None)
-        monkeypatch.setattr(opq_vec, "NUMPY_AVAILABLE", False)
-        # The dispatcher must fall back, not crash, on a slim install.
-        queue = build_queue(jelly_bin_set(10), 0.9)
-        reference = build_optimal_priority_queue(jelly_bin_set(10), 0.9)
-        assert frontier_bytes(queue) == frontier_bytes(reference)
+    @pytest.mark.parametrize(
+        "bins",
+        [jelly_bin_set(25), smic_bin_set(25), jelly_bin_set(39), smic_bin_set(37)],
+        ids=lambda bins: bins.name,
+    )
+    def test_lcm_guard_admits_every_dataset_menu(self, bins):
+        """Factorial products overflow int64 past |B| = 20; the LCMs do not."""
+        assert _lcm_fits_int64(bins)
 
-    @needs_numpy
+    def test_menu_of_25_bins_dispatches_to_numpy(self, vec_calls):
+        build_queue(smic_bin_set(25), 0.95)
+        assert len(vec_calls) == 1
+
     def test_int64_overflow_menus_route_to_python(self):
-        """Distinct cardinalities whose product overflows int64 stay exact."""
+        """Distinct cardinalities whose LCM overflows int64 stay exact."""
         primes = (65521, 65519, 65497, 65479)
         bins = TaskBinSet.from_triples(
             [(p, 0.9, 0.5) for p in primes], name="wide"
@@ -192,7 +204,6 @@ class TestCoreSelection:
         reference = build_optimal_priority_queue(bins, 0.7)
         assert frontier_bytes(queue) == frontier_bytes(reference)
 
-    @needs_numpy
     def test_build_queue_dispatch_matches_both_cores(self):
         bins = smic_bin_set(12)
         via_python = build_optimal_priority_queue(bins, 0.93)
