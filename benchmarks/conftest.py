@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, Sequence
 
@@ -25,7 +27,7 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 
 #: When set, benchmarks append their headline numbers to this JSON file so
-#: CI can upload the perf trajectory as a per-commit artifact.
+#: CI can upload them as a per-commit artifact.
 RESULTS_ENV = "SLADE_BENCH_RESULTS"
 
 #: Full-scale mode reproduces the paper's axis ranges.
@@ -104,14 +106,28 @@ def record_result(benchmark: str, **metrics) -> None:
     path_text = os.environ.get(RESULTS_ENV)
     if not path_text:
         return
-    from repro.loadgen.trajectory import git_sha, utc_now_iso
-
     path = Path(path_text)
     records = json.loads(path.read_text()) if path.exists() else []
     records.append({
         "benchmark": benchmark,
-        "recorded_at": utc_now_iso(),
-        "git_sha": git_sha(Path(__file__).resolve().parent) or "unknown",
+        "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "git_sha": _git_sha(),
         **metrics,
     })
     path.write_text(json.dumps(records, indent=2) + "\n")
+
+
+def _git_sha() -> str:
+    """The commit being measured: ``$GITHUB_SHA`` in CI, else ``git rev-parse``."""
+    env_sha = os.environ.get("GITHUB_SHA")
+    if env_sha:
+        return env_sha
+    try:
+        completed = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    sha = completed.stdout.strip()
+    return sha if completed.returncode == 0 and sha else "unknown"

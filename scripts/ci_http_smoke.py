@@ -157,7 +157,7 @@ def functional_phase() -> None:
 
         reply = client.solve(solve_payload(1_000))
         check(reply.status == 200 and reply.payload["ok"] is True,
-              "POST /v1/solve returns an ok response")
+              "POST /v2/solve returns an ok response")
         check(reply.payload["plan"] is not None, "response carries the plan")
         check(reply.payload["cache"] == "miss", "first solve is a cache miss")
 
@@ -165,7 +165,7 @@ def functional_phase() -> None:
             [solve_payload(200 * (i + 1)) for i in range(4)], include_plan=False
         )
         rows = batch.payload["responses"]
-        check(batch.status == 200 and len(rows) == 4, "POST /v1/solve/batch")
+        check(batch.status == 200 and len(rows) == 4, "POST /v2/solve/batch")
         check(all(row["ok"] for row in rows), "batch rows all ok")
         check(all(row["cache"] == "hit" for row in rows),
               "batch rides the warmed cache")
@@ -189,7 +189,7 @@ def functional_phase() -> None:
         text = client.metrics(fmt="text")
         check(text.text.startswith("slade_"), "GET /metrics Prometheus text")
 
-        bad = client._request("POST", "/v1/solve", None, None)
+        bad = client._request("POST", "/v2/solve", None, None)
         check(bad.status == 400 and bad.payload["error"]["type"] == "JSONDecodeError",
               "malformed JSON answers a structured 400 envelope")
 
@@ -266,9 +266,8 @@ def deadline_phase() -> None:
               and typo.payload["error"]["type"] == "RequestValidationError",
               "unknown request field -> structured 400")
 
-        v1 = SladeHttpClient(server.base_url, timeout=60, api_version="v1")
-        check(v1.solve(solve_payload(500), include_plan=False).status == 200,
-              "legacy /v1/solve alias still answers")
+        retired = client._request("POST", "/v1/solve", solve_payload(500), None)
+        check(retired.status == 404, "/v1/solve answers 404")
 
         server.stop()
     finally:

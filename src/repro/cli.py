@@ -29,7 +29,7 @@ Three sub-commands cover the common workflows:
     sharded://h1:p1,h2:p2,h3:p3?replicas=2`` spreads it over several cache
     servers with consistent hashing and replication.  With ``--http HOST:PORT`` the same
     facade is served over the stdlib HTTP transport instead
-    (``POST /v1/solve``, ``POST /v1/solve/batch``, ``GET /healthz``,
+    (``POST /v2/solve``, ``POST /v2/solve/batch``, ``GET /healthz``,
     ``GET /metrics``), with optional per-tenant admission control
     (``--rate``, ``--burst``, ``--tenant-rate``, ``--max-inflight``,
     ``--max-total-inflight``);
@@ -42,13 +42,6 @@ Three sub-commands cover the common workflows:
     rebuilds, never request errors), so the server needs no
     high-availability story to be useful; ``--persist <path>`` additionally
     backs the store with a SQLite file so a restarted server keeps its keys.
-
-``loadtest``
-    Replay a seeded open-loop tenant mix (``--profile ci-short`` or
-    ``steady``) against a live ``repro serve --http`` deployment and print
-    per-tenant-class throughput, p50/p99/p999 latency, error/rejection
-    budgets, and cache warm rate; ``--output`` writes the full JSON report
-    the CI perf-trajectory gate consumes.
 
 ``profile``
     Build a grid of Algorithm 2 frontiers cold under cProfile and print a
@@ -218,29 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "restarted server keeps its keys")
     cached.add_argument("--stats", action="store_true",
                         help="print server statistics to stderr on exit")
-
-    loadtest = sub.add_parser(
-        "loadtest",
-        help="replay a seeded open-loop tenant mix against a live HTTP server",
-    )
-    loadtest.add_argument("--url", required=True, metavar="URL",
-                          help="base URL of a running 'repro serve --http' "
-                               "server (e.g. http://127.0.0.1:8080)")
-    loadtest.add_argument("--profile", default="ci-short",
-                          help="named workload profile (default: ci-short)")
-    loadtest.add_argument("--seed", type=int, default=None,
-                          help="override the profile's seed")
-    loadtest.add_argument("--duration", type=float, default=None,
-                          help="override the profile's duration (seconds)")
-    loadtest.add_argument("--clients", type=int, default=16,
-                          help="persistent-connection pool size")
-    loadtest.add_argument("--timeout", type=float, default=30.0,
-                          help="per-request client timeout (seconds)")
-    loadtest.add_argument("--output", metavar="PATH", default=None,
-                          help="write the full JSON report to this file")
-    loadtest.add_argument("--json", action="store_true",
-                          help="print the JSON report to stdout instead of "
-                               "the summary table")
 
     profile = sub.add_parser(
         "profile",
@@ -602,58 +572,6 @@ def _cmd_cached(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    """Replay a seeded open-loop workload against a live HTTP deployment."""
-    from repro.loadgen import build_profile, generate_schedule, run_load_test
-
-    if args.clients < 1:
-        raise SladeError(f"--clients must be >= 1; got {args.clients}")
-    try:
-        spec = build_profile(
-            args.profile, duration_seconds=args.duration, seed=args.seed
-        )
-    except ValueError as exc:
-        raise SladeError(str(exc)) from exc
-    schedule = generate_schedule(spec)
-    if not args.json:
-        print(
-            f"replaying {len(schedule)} request(s) over "
-            f"{spec.duration_seconds:g}s against {args.url} "
-            f"(profile {args.profile!r}, seed {spec.seed}, "
-            f"{args.clients} connection(s))",
-            file=sys.stderr, flush=True,
-        )
-    report = asyncio.run(run_load_test(
-        schedule,
-        args.url,
-        clients=args.clients,
-        timeout=args.timeout,
-        profile=args.profile,
-        seed=spec.seed,
-    ))
-    document = report.as_dict()
-    if args.output:
-        try:
-            with open(args.output, "w") as handle:
-                json.dump(document, handle, indent=2)
-                handle.write("\n")
-        except OSError as exc:
-            raise SladeError(f"cannot write --output file: {exc}") from exc
-    if args.json:
-        print(json.dumps(document, indent=2))
-    else:
-        print(report.format_table())
-        overall = report.overall
-        print(
-            f"\n{overall.ok}/{report.scheduled} ok in {report.wall_seconds:.2f}s "
-            f"({overall.throughput(report.wall_seconds):.1f} rps); "
-            f"error budget {overall.error_budget:.2%}, "
-            f"rejection budget {overall.rejection_budget:.2%}, "
-            f"warm rate {overall.warm_rate:.1%}"
-        )
-    return 0
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Profile Algorithm 2 cold builds and print where the time goes.
 
@@ -737,7 +655,6 @@ _COMMANDS = {
     "batch": _cmd_batch,
     "serve": _cmd_serve,
     "cached": _cmd_cached,
-    "loadtest": _cmd_loadtest,
     "profile": _cmd_profile,
     "calibrate": _cmd_calibrate,
     "lint": run_lint_command,

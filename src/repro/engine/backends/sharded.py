@@ -25,8 +25,11 @@ Semantics, in priority order:
 4. **Repair on read.**  When a replica answers a read that an earlier
    *reachable* successor missed (a restarted or freshly joined shard), the
    entry is written back to the lagging shard — counted as
-   ``sharded_cache.rebalances`` — so replication degrades only while a shard
-   is actually down.
+   ``sharded_cache.rebalances``.  Only successors *before* the answering
+   replica are repaired: a lost copy on a later successor stays lost while
+   an earlier one keeps answering (checking it would cost a round trip per
+   hit), so a bounced shard regains the keys it is primary for, not its
+   secondary copies.
 
 The ring uses SHA-256 points with configurable virtual nodes per endpoint
 (``vnodes``), giving the two properties the property tests pin down: keys
@@ -269,8 +272,9 @@ class ShardedBackend:
 
         A shard that answered a CONTAINS/GET round trip but lacked the entry
         (restarted without ``--persist``, or newly joined the ring) regains
-        its replica here, so one shard bounce degrades replication only
-        until the next read of each key.
+        its replica here.  ``lagging`` holds only successors walked before
+        the answering replica, so a copy lost on a later successor is not
+        repaired by reads.
         """
         for label in lagging:
             self.shards[label].put(key, queue)

@@ -30,7 +30,6 @@ tasks concurrently.
 
 from __future__ import annotations
 
-import math
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -53,29 +52,6 @@ REMOTE_RTT_BUCKETS: Tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0,
 )
-
-
-def log_bucket_bounds(
-    low: float, high: float, factor: float = 2.0
-) -> Tuple[float, ...]:
-    """Geometrically spaced histogram boundaries covering ``[low, high]``.
-
-    HDR-style latency histograms want constant *relative* resolution — a
-    10 µs error matters at 100 µs but not at 10 s — which geometric spacing
-    provides: every bucket is ``factor`` times wider than its predecessor.
-    The last bound is the first power of ``factor`` at or above ``high``, so
-    the whole target range is covered.
-    """
-    if low <= 0:
-        raise ValueError(f"low must be positive; got {low}")
-    if high <= low:
-        raise ValueError(f"high must exceed low; got [{low}, {high}]")
-    if factor <= 1.0:
-        raise ValueError(f"factor must exceed 1; got {factor}")
-    bounds = [low]
-    while bounds[-1] < high:
-        bounds.append(bounds[-1] * factor)
-    return tuple(bounds)
 
 
 @dataclass
@@ -122,32 +98,6 @@ class SeriesStats:
         if self.count == 0:
             return 0.0
         return self.total / self.count
-
-    def percentile(self, q: float) -> Optional[float]:
-        """Upper-bound estimate of the ``q``-quantile from the buckets.
-
-        Returns the smallest bucket boundary that covers at least a ``q``
-        fraction of observations (Prometheus ``le`` semantics), clamped to
-        the observed maximum, so no reading exceeds a value actually seen;
-        ranks landing in the overflow bucket return the maximum itself.
-        ``None`` when the series is unbucketed or empty.
-
-        The estimate is exact up to bucket resolution: the true quantile lies
-        in ``(previous bound, returned value]`` — pinned by the hypothesis
-        property tests in ``tests/loadgen/test_histogram.py``.
-        """
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"quantile must lie in (0, 1]; got {q}")
-        if self.bucket_bounds is None or self.count == 0:
-            return None
-        assert self.bucket_counts is not None
-        rank = math.ceil(q * self.count)
-        running = 0
-        for bound, bucket in zip(self.bucket_bounds, self.bucket_counts):
-            running += bucket
-            if running >= rank:
-                return min(bound, self.maximum)
-        return self.maximum
 
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         """``(bound, observations <= bound)`` pairs (empty when unbucketed)."""

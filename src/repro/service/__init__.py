@@ -19,7 +19,8 @@ service.
   (:class:`HttpSladeServer`) plus per-tenant admission control
   (:class:`AdmissionController`), all stdlib.
 * :mod:`repro.service.client` — :class:`SladeHttpClient`, a ``urllib``
-  client for the HTTP transport (tests, benchmarks, the CI smoke job).
+  client for the HTTP transport's ``/v2`` routes (tests, benchmarks, the CI
+  smoke jobs).
 
 Typical use::
 
@@ -58,7 +59,7 @@ from repro.service.api import (
     http_status_for,
 )
 from repro.service.async_service import AsyncSladeService
-from repro.service.client import AsyncSladeHttpClient, HttpReply, SladeHttpClient
+from repro.service.client import HttpReply, SladeHttpClient
 from repro.service.facade import SladeService
 from repro.service.normalize import (
     check_not_expired,
@@ -76,7 +77,6 @@ from repro.service.transport import (
 __all__ = [
     "AdmissionController",
     "AdmissionError",
-    "AsyncSladeHttpClient",
     "AsyncSladeService",
     "AuthenticationError",
     "CACHE_BYPASS",

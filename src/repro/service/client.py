@@ -1,4 +1,4 @@
-"""Stdlib HTTP clients for the SLADE service transport.
+"""Stdlib HTTP client for the SLADE service transport.
 
 :class:`SladeHttpClient` wraps ``urllib`` so tests, examples, benchmarks and
 the CI smoke job can drive a running ``repro serve --http`` server without
@@ -6,19 +6,7 @@ any third-party dependency.  Every call returns an :class:`HttpReply` — the
 status code, headers, and parsed JSON payload — and *never* raises on 4xx/5xx
 responses: admission rejections and validation failures are data (structured
 error envelopes), not exceptions, matching the service layer's philosophy.
-
-:class:`AsyncSladeHttpClient` is the concurrent counterpart: an asyncio
-HTTP/1.1 client holding one persistent keep-alive connection, so the load
-harness (:mod:`repro.loadgen`) can keep hundreds of requests in flight from
-one event loop without a thread per connection.  It returns the same
-:class:`HttpReply` shape with the same never-raise-on-4xx/5xx contract.
-
-Both clients share one request-encoding / path-building / header-building
-pipeline (:func:`_payload_dict`, :func:`_solve_path`, :func:`_build_headers`,
-:func:`_build_reply`), so a feature added to the wire surface — per-request
-deadlines, auth tokens, the ``/v2`` routes — lands in both at once instead
-of drifting apart.  Requests default to the ``/v2`` routes; pass
-``api_version="v1"`` to pin the legacy alias.
+Solve calls go to the ``/v2`` routes.
 
 Typical use::
 
@@ -35,14 +23,12 @@ Typical use::
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import urllib.error
-import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.core.errors import SladeError
 from repro.service.api import SolveRequest, SolveResponse
@@ -116,8 +102,6 @@ class SladeHttpClient:
     auth_token:
         Shared secret for servers started with ``repro serve --auth-token``;
         sent as ``Authorization: Bearer <token>`` on every request.
-    api_version:
-        Route prefix for solve endpoints — ``"v2"`` (default) or ``"v1"``.
     """
 
     def __init__(
@@ -126,13 +110,11 @@ class SladeHttpClient:
         tenant: Optional[str] = None,
         timeout: float = 60.0,
         auth_token: Optional[str] = None,
-        api_version: str = "v2",
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.tenant = tenant
         self.timeout = timeout
         self.auth_token = auth_token
-        self.api_version = _check_api_version(api_version)
         # A proxy-free opener: localhost servers must not be routed through
         # an environment's HTTP(S)_PROXY.
         self._opener = urllib.request.build_opener(
@@ -148,13 +130,13 @@ class SladeHttpClient:
         include_plan: Optional[bool] = None,
         deadline_ms: Optional[float] = None,
     ) -> HttpReply:
-        """POST one solve request to ``/{v}/solve``.
+        """POST one solve request to ``/v2/solve``.
 
         ``deadline_ms`` stamps (or overrides) the request's latency budget;
         the server answers best-so-far within it, or a structured 503 when
         it expires before any feasible plan exists.
         """
-        path = _solve_path(self.api_version, False, include_plan)
+        path = _solve_path(False, include_plan)
         body = _payload_dict(request, deadline_ms=deadline_ms)
         return self._request("POST", path, body, tenant)
 
@@ -165,12 +147,12 @@ class SladeHttpClient:
         include_plan: Optional[bool] = None,
         deadline_ms: Optional[float] = None,
     ) -> HttpReply:
-        """POST a request list to ``/{v}/solve/batch``.
+        """POST a request list to ``/v2/solve/batch``.
 
         ``deadline_ms`` applies per item (each entry gets the same budget,
         measured from server receipt) unless an entry carries its own.
         """
-        path = _solve_path(self.api_version, True, include_plan)
+        path = _solve_path(True, include_plan)
         body = {
             "requests": [
                 _payload_dict(entry, deadline_ms=deadline_ms)
@@ -220,19 +202,16 @@ class SladeHttpClient:
         )
         try:
             with self._opener.open(req, timeout=self.timeout) as raw:
-                return self._reply(raw.status, dict(raw.headers), raw.read())
+                return _build_reply(raw.status, dict(raw.headers), raw.read())
         except urllib.error.HTTPError as exc:
             # 4xx/5xx still carry a structured envelope body.
-            return self._reply(exc.code, dict(exc.headers or {}), exc.read())
+            return _build_reply(exc.code, dict(exc.headers or {}), exc.read())
         except (urllib.error.URLError, socket.timeout, ConnectionError) as exc:
             raise TransportError(f"cannot reach {self.base_url}: {exc}") from exc
 
-    def _reply(self, status: int, headers: Dict[str, str], raw: bytes) -> HttpReply:
-        return _build_reply(status, headers, raw)
-
 
 def _build_reply(status: int, headers: Dict[str, str], raw: bytes) -> HttpReply:
-    """Decode one raw exchange into the shared :class:`HttpReply` shape."""
+    """Decode one raw exchange into an :class:`HttpReply`."""
     text = raw.decode("utf-8", errors="replace")
     try:
         payload = json.loads(text)
@@ -261,11 +240,9 @@ def _payload_dict(
     return payload
 
 
-def _solve_path(
-    api_version: str, batch: bool, include_plan: Optional[bool]
-) -> str:
-    """Build the solve route for one call — shared by both clients."""
-    path = f"/{api_version}/solve/batch" if batch else f"/{api_version}/solve"
+def _solve_path(batch: bool, include_plan: Optional[bool]) -> str:
+    """Build the solve route for one call."""
+    path = "/v2/solve/batch" if batch else "/v2/solve"
     if include_plan is not None:
         path += f"?plan={'1' if include_plan else '0'}"
     return path
@@ -274,7 +251,7 @@ def _solve_path(
 def _build_headers(
     tenant: Optional[str], auth_token: Optional[str]
 ) -> Dict[str, str]:
-    """Request headers for one call — shared by both clients."""
+    """Request headers for one call."""
     headers = {"Content-Type": "application/json"}
     if tenant:
         headers["X-Tenant"] = tenant
@@ -282,182 +259,3 @@ def _build_headers(
         headers["Authorization"] = f"Bearer {auth_token}"
     return headers
 
-
-def _check_api_version(api_version: str) -> str:
-    if api_version not in ("v1", "v2"):
-        raise ValueError(
-            f"api_version must be 'v1' or 'v2', got {api_version!r}"
-        )
-    return api_version
-
-
-class AsyncSladeHttpClient:
-    """An asyncio HTTP/1.1 client holding one keep-alive connection.
-
-    The synchronous :class:`SladeHttpClient` opens a fresh ``urllib``
-    connection per call and blocks a thread while it waits; an open-loop load
-    generator needs hundreds of requests in flight at once, which only an
-    event loop can hold cheaply.  This client speaks the same minimal
-    HTTP/1.1 the transport serves (``Content-Length`` framing, keep-alive),
-    reuses its single connection across calls, and transparently reconnects
-    — retrying once — when a reused connection turns out to be dead.
-
-    All coroutine methods must be awaited from one event loop at a time; for
-    N-way concurrency open N clients (see
-    :func:`repro.loadgen.runner.run_load_test`).
-
-    Typical use::
-
-        client = AsyncSladeHttpClient("http://127.0.0.1:8080", tenant="a")
-        try:
-            reply = await client.solve({"kind": "solve_request", ...})
-        finally:
-            await client.close()
-    """
-
-    def __init__(
-        self,
-        base_url: str,
-        tenant: Optional[str] = None,
-        timeout: float = 60.0,
-        auth_token: Optional[str] = None,
-        api_version: str = "v2",
-    ) -> None:
-        parts = urllib.parse.urlsplit(base_url if "//" in base_url
-                                      else f"http://{base_url}")
-        if parts.scheme not in ("", "http") or not parts.hostname:
-            raise TransportError(f"unsupported base URL: {base_url!r}")
-        self.host = parts.hostname
-        self.port = parts.port or 80
-        self.tenant = tenant
-        self.timeout = timeout
-        self.auth_token = auth_token
-        self.api_version = _check_api_version(api_version)
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-
-    # -- endpoints -------------------------------------------------------------
-
-    async def solve(
-        self,
-        request: RequestLike,
-        tenant: Optional[str] = None,
-        include_plan: Optional[bool] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> HttpReply:
-        """POST one solve request to ``/{v}/solve``.
-
-        Same semantics as :meth:`SladeHttpClient.solve`: ``deadline_ms``
-        stamps the request's latency budget unless the payload already
-        carries one.
-        """
-        path = _solve_path(self.api_version, False, include_plan)
-        body = _payload_dict(request, deadline_ms=deadline_ms)
-        return await self._request("POST", path, body, tenant)
-
-    async def healthz(self) -> HttpReply:
-        """GET the liveness document."""
-        return await self._request("GET", "/healthz", None, None)
-
-    async def metrics(self, fmt: str = "json") -> HttpReply:
-        """GET the telemetry snapshot (``fmt="text"`` for Prometheus lines)."""
-        path = "/metrics" if fmt == "text" else "/metrics?format=json"
-        return await self._request("GET", path, None, None)
-
-    async def close(self) -> None:
-        """Close the persistent connection (safe to call repeatedly)."""
-        await self._drop_connection()
-
-    # -- plumbing --------------------------------------------------------------
-
-    async def _request(
-        self,
-        method: str,
-        path: str,
-        body: Optional[Dict[str, Any]],
-        tenant: Optional[str],
-    ) -> HttpReply:
-        data = json.dumps(body).encode("utf-8") if body is not None else b""
-        effective_tenant = tenant if tenant is not None else self.tenant
-        for attempt in (0, 1):
-            reused = self._writer is not None
-            try:
-                return await asyncio.wait_for(
-                    self._exchange(method, path, data, effective_tenant),
-                    timeout=self.timeout,
-                )
-            except asyncio.TimeoutError as exc:
-                await self._drop_connection()
-                raise TransportError(
-                    f"timed out after {self.timeout:g}s waiting for "
-                    f"{self.host}:{self.port}"
-                ) from exc
-            except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
-                await self._drop_connection()
-                # A server is allowed to close an idle keep-alive connection
-                # between our calls; only a fresh connection failing is an
-                # actual transport error.
-                if reused and attempt == 0:
-                    continue
-                raise TransportError(
-                    f"cannot reach {self.host}:{self.port}: {exc}"
-                ) from exc
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    async def _exchange(
-        self, method: str, path: str, data: bytes, tenant: Optional[str]
-    ) -> HttpReply:
-        if self._writer is None:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port
-            )
-        assert self._reader is not None and self._writer is not None
-        lines = [
-            f"{method} {path} HTTP/1.1",
-            f"Host: {self.host}:{self.port}",
-            f"Content-Length: {len(data)}",
-            "Connection: keep-alive",
-        ]
-        lines.extend(
-            f"{name}: {value}"
-            for name, value in _build_headers(tenant, self.auth_token).items()
-        )
-        self._writer.write("\r\n".join(lines).encode("ascii") + b"\r\n\r\n" + data)
-        await self._writer.drain()
-        status, headers, raw = await self._read_response(self._reader)
-        reply = _build_reply(status, headers, raw)
-        if reply.header("connection", "keep-alive").lower() == "close":
-            await self._drop_connection()
-        return reply
-
-    async def _read_response(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[int, Dict[str, str], bytes]:
-        status_line = (await reader.readline()).decode("ascii", errors="replace")
-        parts = status_line.split(" ", 2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-            raise ConnectionError(f"malformed status line: {status_line!r}")
-        status = int(parts[1])
-        headers: Dict[str, str] = {}
-        while True:
-            line = (await reader.readline()).decode("ascii", errors="replace")
-            if line in ("\r\n", "\n", ""):
-                break
-            name, _sep, value = line.partition(":")
-            headers[name.strip()] = value.strip()
-        length_text = next(
-            (v for k, v in headers.items() if k.lower() == "content-length"), None
-        )
-        if length_text is None:
-            raise ConnectionError("response carries no Content-Length")
-        raw = await reader.readexactly(int(length_text))
-        return status, headers, raw
-
-    async def _drop_connection(self) -> None:
-        writer, self._reader, self._writer = self._writer, None, None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown
-                pass

@@ -13,9 +13,9 @@ This package puts a real wire protocol in front of
   :class:`~repro.service.api.OverloadedError` the transports turn into
   429/503 envelopes.
 * :mod:`repro.service.transport.server` — :class:`HttpSladeServer`, the
-  asyncio server exposing ``POST /v1/solve``, ``POST /v1/solve/batch``,
-  ``GET /healthz`` and ``GET /metrics``, with concurrent requests
-  micro-batching onto the shared planner and plan cache.
+  asyncio server exposing ``POST /v2/solve``, ``POST /v2/solve/batch``,
+  ``POST /v2/feedback``, ``GET /healthz`` and ``GET /metrics``, with
+  concurrent requests micro-batching onto the shared planner and plan cache.
 """
 
 from repro.service.transport.admission import (

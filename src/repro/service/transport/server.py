@@ -8,14 +8,14 @@ deployment already exploits.
 
 Routes
 ------
-``POST /v2/solve`` (``/v1/solve`` is a compatible alias)
+``POST /v2/solve``
     One solve request (the :func:`repro.io.serialization.solve_request_to_dict`
     shape, including the compact inline form); answers the matching
     ``solve_response`` JSON.  Application-level failures (infeasible plans,
     unknown solvers) come back as HTTP 200 with ``ok=false`` — the request
     was served; the *solve* failed.  Transport and admission failures use
     4xx/5xx with the same envelope shape.
-``POST /v2/solve/batch`` (``/v1/solve/batch`` is a compatible alias)
+``POST /v2/solve/batch``
     ``{"requests": [...]}``; items are parsed and solved with per-item
     failure isolation and answered in order as ``{"responses": [...]}``.
 ``POST /v2/feedback``
@@ -321,14 +321,14 @@ class HttpSladeServer:
             return await asyncio.get_running_loop().run_in_executor(
                 None, self._respond_metrics, request, keep_alive
             )
-        if request.path in ("/v2/solve", "/v1/solve"):
+        if request.path == "/v2/solve":
             if request.method != "POST":
                 return self._method_not_allowed(request, "POST", keep_alive)
             denied = self._check_auth(request, keep_alive)
             if denied is not None:
                 return denied
             return await self._respond_solve(request, keep_alive)
-        if request.path in ("/v2/solve/batch", "/v1/solve/batch"):
+        if request.path == "/v2/solve/batch":
             if request.method != "POST":
                 return self._method_not_allowed(request, "POST", keep_alive)
             denied = self._check_auth(request, keep_alive)

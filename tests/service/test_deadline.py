@@ -26,7 +26,6 @@ from repro.service import (
 )
 from repro.service.client import (
     _build_headers,
-    _check_api_version,
     _payload_dict,
     _solve_path,
 )
@@ -194,20 +193,14 @@ class TestClientHelpers:
         assert payload["deadline_ms"] == 10.0
 
     def test_solve_paths(self):
-        assert _solve_path("v2", False, None) == "/v2/solve"
-        assert _solve_path("v2", True, True) == "/v2/solve/batch?plan=1"
-        assert _solve_path("v1", False, False) == "/v1/solve?plan=0"
+        assert _solve_path(False, None) == "/v2/solve"
+        assert _solve_path(True, True) == "/v2/solve/batch?plan=1"
 
     def test_headers_carry_tenant_and_token(self):
         headers = _build_headers("team-a", "sekrit")
         assert headers["X-Tenant"] == "team-a"
         assert headers["Authorization"] == "Bearer sekrit"
         assert "X-Tenant" not in _build_headers(None, None)
-
-    def test_api_version_checked(self):
-        assert _check_api_version("v1") == "v1"
-        with pytest.raises(ValueError):
-            _check_api_version("v3")
 
 
 class TestProvenanceShape:

@@ -176,7 +176,7 @@ class TestTransportErrors:
     def test_malformed_json_is_400_with_envelope(self):
         with ServerHandle() as handle:
             client = handle.client()
-            reply = client._request("POST", "/v1/solve", None, None)
+            reply = client._request("POST", "/v2/solve", None, None)
             assert reply.status == 400
             assert reply.payload["kind"] == "solve_response"
             assert reply.payload["ok"] is False
@@ -185,7 +185,7 @@ class TestTransportErrors:
     def test_http_envelope_matches_jsonlines_envelope(self):
         """Satellite fix: one failure shape across both transports."""
         with ServerHandle() as handle:
-            http_reply = handle.client()._request("POST", "/v1/solve", None, None)
+            http_reply = handle.client()._request("POST", "/v2/solve", None, None)
         stream = io.StringIO("this is not json\n")
         out = io.StringIO()
         real_stdout, sys.stdout = sys.stdout, out
@@ -202,17 +202,17 @@ class TestTransportErrors:
     def test_unknown_route_and_wrong_method(self):
         with ServerHandle() as handle:
             client = handle.client()
-            missing = client._request("GET", "/v3/solve", None, None)
-            assert missing.status == 404
-            assert missing.payload["error"]["type"] == "SladeError"
-            for path in ("/v1/solve", "/v2/solve"):
-                wrong = client._request("GET", path, None, None)
-                assert wrong.status == 405
+            for method, path in (("GET", "/v3/solve"), ("POST", "/v1/solve")):
+                missing = client._request(method, path, None, None)
+                assert missing.status == 404
+                assert missing.payload["error"]["type"] == "SladeError"
+            wrong = client._request("GET", "/v2/solve", None, None)
+            assert wrong.status == 405
 
     def test_batch_payload_must_be_a_request_list(self):
         with ServerHandle() as handle:
             reply = handle.client()._request(
-                "POST", "/v1/solve/batch", {"requests": []}, None
+                "POST", "/v2/solve/batch", {"requests": []}, None
             )
             assert reply.status == 400
             assert "requests" in reply.payload["error"]["message"]
@@ -305,8 +305,16 @@ class TestMicroBatchCoalescing:
 
 
 class TestAdmissionOverHttp:
-    def test_tenant_quota_rejections_do_not_affect_other_tenants(self):
-        admission = AdmissionController(rate=0.001, burst=2)
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            {"rate": 0.001, "burst": 2},
+            {"tenant_limits": {"team-a": (0.001, 2.0)}},
+        ],
+        ids=["default-limits", "tenant-override"],
+    )
+    def test_tenant_quota_rejections_do_not_affect_other_tenants(self, limits):
+        admission = AdmissionController(**limits)
         with ServerHandle(admission=admission) as handle:
             client_a = handle.client(tenant="team-a")
             client_b = handle.client(tenant="team-b")
@@ -343,7 +351,7 @@ class TestAdmissionOverHttp:
         with ServerHandle(admission=admission) as handle:
             client = handle.client(tenant="spender")
             assert client.solve(inline_request(n=20)).status == 200
-            rejected = client._request("POST", "/v1/solve", None, None)
+            rejected = client._request("POST", "/v2/solve", None, None)
             # An empty (unparseable) body still gets the 429, proving
             # admission ran first; otherwise this would be a 400.
             assert rejected.status == 429
