@@ -1,8 +1,11 @@
 """Telemetry: the shared registry and its cache/planner hook points."""
 
+import math
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.problem import SladeProblem
 from repro.datasets.jelly import jelly_bin_set
@@ -176,6 +179,36 @@ class TestHistogramBuckets:
         # the 10 ms line, so it stays a boundary too.
         assert [b for b in QUEUE_WAIT_BUCKETS if b < 0.001] == [0.0001, 0.00025, 0.0005]
         assert 0.01 in QUEUE_WAIT_BUCKETS
+
+
+#: Waits below the first queue-wait bound, across its range, and past its top.
+waits = st.floats(min_value=1e-6, max_value=10.0, allow_nan=False)
+
+
+class TestHistogramProperties:
+    """For any samples, the buckets and the summary agree with the samples."""
+
+    @given(samples=st.lists(waits, min_size=1, max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_cumulative_counts_are_exact_le_counts(self, samples):
+        series = SeriesStats(bucket_bounds=QUEUE_WAIT_BUCKETS)
+        for value in samples:
+            series.observe(value)
+        for bound, running in series.cumulative_buckets():
+            assert running == sum(1 for value in samples if value <= bound)
+        assert sum(series.bucket_counts) == series.count == len(samples)
+
+    @given(samples=st.lists(waits, min_size=1, max_size=200))
+    @settings(max_examples=100, deadline=None)
+    def test_summary_matches_the_samples(self, samples):
+        series = SeriesStats()
+        for value in samples:
+            series.observe(value)
+        assert series.minimum == min(samples)
+        assert series.maximum == max(samples)
+        assert series.last == samples[-1]
+        assert series.total == pytest.approx(math.fsum(samples))
+        assert series.mean == pytest.approx(math.fsum(samples) / len(samples))
 
 
 class TestPrometheusRendering:

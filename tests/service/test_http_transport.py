@@ -304,6 +304,39 @@ class TestMicroBatchCoalescing:
             assert metrics["service.queue_wait_seconds.count"] == 6
 
 
+class TestConcurrentLoad:
+    def test_concurrent_tenants_all_succeed_and_warm_the_plan_cache(self):
+        """Eight clients, two tenants, two (menu, threshold) keys: every call
+        answers, and repeats of a key are served from the plan cache."""
+        with ServerHandle() as handle:
+            replies = []
+            lock = threading.Lock()
+
+            def drive(worker: int) -> None:
+                client = handle.client(tenant=f"tenant-{worker % 2}")
+                for index in range(6):
+                    reply = client.solve(
+                        inline_request(n=20 + index, threshold=(0.9, 0.92)[index % 2]),
+                        include_plan=False,
+                    )
+                    with lock:
+                        replies.append(reply)
+
+            threads = [threading.Thread(target=drive, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert len(replies) == 48
+            assert all(reply.status == 200 for reply in replies)
+            assert all(reply.payload["ok"] for reply in replies)
+            hits = sum(reply.payload["cache"] == "hit" for reply in replies)
+            assert hits > len(replies) / 2
+            metrics = handle.client().metrics().payload
+            assert metrics["cache.hits"] == hits
+            assert metrics["cache.hits"] + metrics["cache.misses"] == len(replies)
+
+
 class TestAdmissionOverHttp:
     @pytest.mark.parametrize(
         "limits",
