@@ -105,7 +105,7 @@ def test_concurrent_http_clients_coalesce_and_beat_cold_solves():
             create_solver("opq").solve(problem).total_cost for problem in problems
         ]
 
-    config = ServiceConfig(max_batch_size=16)
+    config = ServiceConfig()
     with _ServerThread(config) as handle:
         base_url = handle.server.base_url
         barrier = threading.Barrier(CLIENTS)

@@ -69,7 +69,7 @@ def test_async_micro_batching_beats_per_request_cold_solves():
         ]
 
     async def scenario():
-        async with AsyncSladeService(config=ServiceConfig(max_batch_size=16)) as svc:
+        async with AsyncSladeService() as svc:
             return await svc.submit_many(requests)
 
     warm_watch = Stopwatch()

@@ -19,11 +19,7 @@ from __future__ import annotations
 import asyncio
 import threading
 
-from repro.service import (
-    AdmissionController,
-    ServiceConfig,
-    SladeHttpClient,
-)
+from repro.service import AdmissionController, SladeHttpClient
 from repro.service.transport.server import HttpSladeServer
 
 #: A tiny three-bin menu: [cardinality, confidence, cost].
@@ -52,7 +48,6 @@ def main() -> None:
             # team-a's scripted traffic spends exactly 5, the greedy tenant
             # asks for 6 and collects a 429 on the last one.
             server = HttpSladeServer(
-                config=ServiceConfig(max_batch_size=8),
                 admission=AdmissionController(rate=0.2, burst=5),
             )
             await server.start("127.0.0.1", 0)

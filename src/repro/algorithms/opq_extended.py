@@ -99,10 +99,11 @@ def group_thresholds(thresholds: Sequence[float]) -> List[float]:
     """The reliability each Algorithm 4 group's queue is built for.
 
     This exposes the group boundaries *without* paying for queue
-    construction, so the batch planning engine can pre-warm its OPQ cache
-    before dispatching heterogeneous instances to worker processes.  It
-    shares :func:`_group_boundaries` with :func:`build_opq_set`, so the two
-    can never disagree on which queues an instance needs.
+    construction, so the anytime ladder
+    (:class:`~repro.algorithms.anytime.AnytimeSolver`) can look up, refine
+    and publish each group's queue in the plan cache itself.  It shares
+    :func:`_group_boundaries` with :func:`build_opq_set`, so the two can
+    never disagree on which queues an instance needs.
     """
     return [reliability_from_residual(upper) for upper in _group_boundaries(thresholds)]
 

@@ -67,7 +67,7 @@ from typing import List, Optional, Sequence, TextIO
 from repro.algorithms.registry import available_solvers, create_solver
 from repro.core.errors import SladeError
 from repro.core.problem import SladeProblem
-from repro.engine import EXECUTORS, BatchPlanner, BatchSpec
+from repro.engine import BatchPlanner, BatchSpec
 from repro.crowd.calibration import ProbeCalibrator
 from repro.crowd.presets import jelly_platform, smic_platform
 from repro.datasets.jelly import jelly_bin_set
@@ -131,9 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="largest task bin cardinality |B|")
     batch.add_argument("--repeat", type=int, default=1,
                        help="solve the grid this many times (repeats hit the cache)")
-    batch.add_argument("--executor", default="serial", choices=list(EXECUTORS))
-    batch.add_argument("--workers", type=int, default=None,
-                       help="worker count for thread/process executors")
     batch.add_argument("--no-verify", action="store_true",
                        help="skip plan feasibility verification (pure solve timing)")
 
@@ -173,9 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-tenant cap on concurrently admitted requests")
     serve.add_argument("--max-total-inflight", type=int, default=None,
                        help="global cap on concurrently admitted requests")
-    serve.add_argument("--max-batch-size", type=int, default=16,
-                       help="most queued requests the HTTP frontend flushes "
-                            "as one batch")
     serve.add_argument("--auth-token", default=None, metavar="TOKEN",
                        help="shared secret required on solve endpoints "
                             "('Authorization: Bearer <token>' or "
@@ -311,17 +305,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         name=f"{args.dataset}-batch",
         repeat=args.repeat,
     )
-    planner = BatchPlanner(
-        verify=not args.no_verify,
-        executor=args.executor,
-        max_workers=args.workers,
-    )
+    planner = BatchPlanner(verify=not args.no_verify)
     batch = planner.solve_many(spec, solver=args.solver)
     stats = batch.stats
 
     print(f"batch              : {args.dataset}, {stats.instances} instance(s), "
           f"solver={stats.solver}")
-    print(f"executor           : {stats.executor} (workers={stats.workers})")
     print(f"total cost (USD)   : {batch.total_cost:.2f}")
     print(f"all feasible       : {batch.all_feasible}")
     print(f"wall time (s)      : {stats.wall_seconds:.3f}")
@@ -407,7 +396,6 @@ def _serve_http(args: argparse.Namespace) -> int:
         solver=args.solver,
         verify=not args.no_verify,
         cache_backend=args.cache,
-        max_batch_size=args.max_batch_size,
         drift_window=args.drift_window,
         drift_min_observations=args.drift_min_observations,
         drift_tolerance=args.drift_tolerance,

@@ -5,8 +5,8 @@ priority queue (Algorithm 2, a function of the bin menu and the reliability
 threshold alone) and covering the task set with it (Algorithm 3, cheap and
 linear in ``n``).  Experiment sweeps, figure scripts and production batches
 solve many instances sharing the same ``(bins, threshold)`` pair, so this
-package memoises phase one and dispatches phase two — serially or in
-thread/process pools — while collecting per-batch statistics.
+package memoises phase one and runs phase two for each instance in turn,
+collecting per-batch statistics.
 
 Typical use::
 
@@ -36,7 +36,6 @@ from repro.engine.planner import (
     BatchPlanner,
     BatchResult,
     BatchStats,
-    EXECUTORS,
 )
 from repro.engine.specs import BatchSpec
 from repro.engine.telemetry import (
@@ -55,7 +54,6 @@ __all__ = [
     "CacheBackend",
     "CacheServer",
     "CacheStats",
-    "EXECUTORS",
     "HashRing",
     "HistogramSnapshot",
     "MemoryBackend",

@@ -20,7 +20,7 @@ invalidation path — alongside insertion, lookup and eviction.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 from repro.algorithms.opq import OptimalPriorityQueue
 from repro.engine.fingerprint import OPQKey
@@ -30,10 +30,14 @@ from repro.engine.fingerprint import OPQKey
 class CacheBackend(Protocol):
     """Storage interface for optimal-priority-queue cache entries.
 
-    Implementations need not be thread-safe: :class:`~repro.engine.cache.PlanCache`
-    serialises every storage call under its own lock.  They must, however,
-    treat entries as immutable — two stores under the same key always carry
-    equivalent queues.
+    A backend that sets ``concurrent_safe = True`` (every backend in this
+    package does; a tiered one when both its tiers do) is called by
+    :class:`~repro.engine.cache.PlanCache` from several threads at once —
+    per-key leaders, the drift sweep, ``/metrics`` scrapes — and must guard
+    its own state.  Any other backend has its storage calls serialised on
+    the cache's storage lock, except ``len()``, which counter snapshots read
+    unlocked.  Either way, implementations must treat entries as immutable —
+    two stores under the same key always carry equivalent queues.
     """
 
     #: Whether entries survive process restarts (drives warm-start reporting).
@@ -49,14 +53,6 @@ class CacheBackend(Protocol):
 
     def put(self, key: OPQKey, queue: OptimalPriorityQueue) -> None:
         """Store ``queue`` under ``key``, evicting old entries if bounded."""
-        ...
-
-    def merge(self, entries: Dict[OPQKey, OptimalPriorityQueue]) -> None:
-        """Adopt ``entries``, keeping existing values on key collisions."""
-        ...
-
-    def snapshot(self) -> Dict[OPQKey, OptimalPriorityQueue]:
-        """A picklable dict of every stored entry (for worker shipping)."""
         ...
 
     def delete(self, key: OPQKey) -> bool:

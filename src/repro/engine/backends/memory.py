@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.algorithms.opq import OptimalPriorityQueue
 from repro.engine.fingerprint import OPQKey
@@ -74,15 +74,6 @@ class MemoryBackend:
                 while len(self._entries) > self.max_entries:
                     self._entries.popitem(last=False)
                     self.evictions += 1
-
-    def merge(self, entries: Dict[OPQKey, OptimalPriorityQueue]) -> None:
-        with self._lock:
-            for key, queue in entries.items():
-                self._entries.setdefault(key, queue)
-
-    def snapshot(self) -> Dict[OPQKey, OptimalPriorityQueue]:
-        with self._lock:
-            return dict(self._entries)
 
     def delete(self, key: OPQKey) -> bool:
         with self._lock:

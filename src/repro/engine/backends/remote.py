@@ -285,21 +285,6 @@ class RemoteBackend:
         # Fire-and-check: a failed PUT only costs the fleet future warmth.
         self._roundtrip(OP_PUT, encode_key(key), encode_queue(queue))
 
-    def merge(self, entries: Dict[OPQKey, OptimalPriorityQueue]) -> None:
-        # Values under one key are always equivalent, so PUT's
-        # last-writer-wins matches merge's keep-existing semantics.
-        for key, queue in entries.items():
-            self.put(key, queue)
-
-    def snapshot(self) -> Dict[OPQKey, OptimalPriorityQueue]:
-        """Remote entries are not exported; workers reach the server directly.
-
-        The snapshot contract exists to ship warmth into process pools; for a
-        networked backend the pool members open their own connections, so an
-        empty export is safe (workers fall back to the shared server).
-        """
-        return {}
-
     def delete(self, key: OPQKey) -> bool:
         """Drop one entry on the server (fail-open: unreachable is ``False``)."""
         reply = self._roundtrip(OP_DELETE, encode_key(key))

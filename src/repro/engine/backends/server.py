@@ -40,7 +40,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Set, Tuple, Union
 
 from repro.engine.backends.sqlite import SQLiteBackend
 from repro.engine.backends.wire import (
@@ -109,6 +109,8 @@ class CacheServer:
         self.host: Optional[str] = None
         self.port: Optional[int] = None
         self._server: Optional[asyncio.AbstractServer] = None
+        self._writers: Set[asyncio.StreamWriter] = set()
+        self._handlers: Set["asyncio.Task[None]"] = set()
         #: Kept separate from the live handle so stats() still reports a
         #: persistent server after close() has released the connection.
         self.persist_path = Path(persist_path) if persist_path is not None else None
@@ -200,6 +202,14 @@ class CacheServer:
         """
         if self._server is not None:
             self._server.close()
+            # Idle connections are blocked reading their next frame; closing
+            # their transports resolves the read with EOF, so every handler
+            # returns before the loop shuts down instead of being cancelled.
+            for writer in list(self._writers):
+                writer.close()
+            handlers = [task for task in self._handlers if not task.done()]
+            if handlers:
+                await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         if self._persist is not None:
@@ -223,6 +233,10 @@ class CacheServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.connections += 1
+        task = asyncio.current_task()
+        if task is not None:
+            self._handlers.add(task)
+        self._writers.add(writer)
         try:
             while True:
                 try:
@@ -242,6 +256,9 @@ class CacheServer:
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             return
         finally:
+            self._writers.discard(writer)
+            if task is not None:
+                self._handlers.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()

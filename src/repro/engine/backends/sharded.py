@@ -288,16 +288,6 @@ class ShardedBackend:
         for label in self.owners(key):
             self.shards[label].put(key, queue)
 
-    def merge(self, entries: Dict[OPQKey, OptimalPriorityQueue]) -> None:
-        for key, queue in entries.items():
-            self.put(key, queue)
-
-    def snapshot(self) -> Dict[OPQKey, OptimalPriorityQueue]:
-        """Empty by design, matching :class:`RemoteBackend`: process-pool
-        workers open their own shard connections instead of shipping pickles.
-        """
-        return {}
-
     def delete(self, key: OPQKey) -> bool:
         """Drop ``key`` from every replica that answers.
 

@@ -110,35 +110,6 @@ class SQLiteBackend:
             self._memo[key] = queue
             self._evict()
 
-    def merge(self, entries: Dict[OPQKey, OptimalPriorityQueue]) -> None:
-        with self._lock:
-            for key, queue in entries.items():
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO opq_entries "
-                    "(bins_fingerprint, threshold_token, payload, touch_seq) "
-                    "VALUES (?, ?, ?, ?)",
-                    (
-                        key[0],
-                        key[1],
-                        encode_queue(queue),
-                        self._next_seq(),
-                    ),
-                )
-                self._memo.setdefault(key, queue)
-            self._evict()
-
-    def snapshot(self) -> Dict[OPQKey, OptimalPriorityQueue]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT bins_fingerprint, threshold_token, payload FROM opq_entries"
-            ).fetchall()
-            out: Dict[OPQKey, OptimalPriorityQueue] = {}
-            for bins_fp, token, payload in rows:
-                key = (bins_fp, token)
-                queue = self._memo.get(key)
-                out[key] = queue if queue is not None else decode_queue(payload)
-            return out
-
     def clear(self) -> None:
         with self._lock:
             self._conn.execute("DELETE FROM opq_entries")

@@ -133,17 +133,6 @@ class TieredBackend:
         self.local.put(key, queue)
         self.remote.put(key, queue)
 
-    def merge(self, entries: Dict[OPQKey, OptimalPriorityQueue]) -> None:
-        self.local.merge(entries)
-        self.remote.merge(entries)
-
-    def snapshot(self) -> Dict[OPQKey, OptimalPriorityQueue]:
-        # The near tier wins collisions: its entries are the objects already
-        # being shared by reference in this process.
-        merged = dict(self.remote.snapshot())
-        merged.update(self.local.snapshot())
-        return merged
-
     def delete(self, key: OPQKey) -> bool:
         """Purge ``key`` from *both* tiers.
 

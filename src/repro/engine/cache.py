@@ -13,11 +13,10 @@ and delegates *storage* to a :class:`~repro.engine.backends.base.CacheBackend`:
 the in-process :class:`~repro.engine.backends.memory.MemoryBackend` (the
 default, LRU-bounded when ``max_entries`` is set) or the persistent
 :class:`~repro.engine.backends.sqlite.SQLiteBackend`, which survives restarts
-and is shared between processes.  The cache is thread-safe (the batch
-planner's thread executor shares one instance).  For process-based
-parallelism the in-memory backend cannot be shared directly;
-:meth:`export_entries` / :meth:`absorb` ship a pre-warmed snapshot to the
-workers instead.
+and is shared between processes.  The cache is thread-safe: in a serving
+process three threads share one instance — the solve worker, the
+background drift sweep (which rebuilds and invalidates a recalibrated
+menu's queues) and ``/metrics`` scrapes reading its counters.
 
 Concurrency is **per key**, not global: threads requesting *distinct*
 fingerprints proceed in parallel (builds are GIL-bound, but network-backed
@@ -25,9 +24,9 @@ storage round trips genuinely overlap), while threads missing on the *same*
 fingerprint coalesce — one leader performs the single backend lookup and the
 single Algorithm 2 build, and every follower waits on the in-flight entry
 and shares the resulting queue object (counted as a hit plus
-``cache.coalesced_waits``).  So a thread executor over a
+``cache.coalesced_waits``).  So a drift sweep over a
 :class:`~repro.engine.backends.remote.RemoteBackend` or
-:class:`~repro.engine.backends.sharded.ShardedBackend` never serialises
+:class:`~repro.engine.backends.sharded.ShardedBackend` never stalls a solve
 behind one slow (timeout-bounded) round trip for an unrelated key, and a
 thundering herd on one fingerprint issues exactly one GET and one build.
 Backends advertising ``concurrent_safe = True`` are called without extra
@@ -498,15 +497,6 @@ class PlanCache:
             if evicted > 0:
                 self.telemetry.increment("cache.evictions", evicted)
 
-    def warm(self, bins: TaskBinSet, thresholds: Iterable[float]) -> None:
-        """Pre-build the queues for every threshold in ``thresholds``.
-
-        Used by the batch planner before dispatching to worker processes, so
-        each expensive construction happens exactly once in the parent.
-        """
-        for threshold in thresholds:
-            self.queue_for(bins, threshold)
-
     # -- bookkeeping -----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -608,16 +598,6 @@ class PlanCache:
     def close(self) -> None:
         """Release backend resources (e.g. the SQLite connection)."""
         self._guarded(self.backend.close)
-
-    # -- process-parallel support ----------------------------------------------
-
-    def export_entries(self) -> Dict[OPQKey, OptimalPriorityQueue]:
-        """A picklable snapshot of the stored queues for worker processes."""
-        return self._guarded(self.backend.snapshot)
-
-    def absorb(self, entries: Dict[OPQKey, OptimalPriorityQueue]) -> None:
-        """Adopt queues exported by another cache (counted as neither hit nor miss)."""
-        self._guarded(lambda: self.backend.merge(entries))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         snapshot = self.stats

@@ -27,7 +27,7 @@ CHECKED_BASENAMES = frozenset({"remote.py", "sharded.py", "tiered.py"})
 
 #: CacheBackend protocol surface plus the observability probes callers use.
 PROTOCOL_METHODS = frozenset({
-    "get", "try_get", "put", "merge", "delete", "clear", "snapshot",
+    "get", "try_get", "put", "delete", "clear",
     "close", "ping", "server_stats", "extra_metrics",
     "__len__", "__contains__",
 })

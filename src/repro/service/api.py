@@ -317,8 +317,10 @@ class ServiceConfig:
     :class:`~repro.service.async_service.AsyncSladeService`.
 
     No tunable picks the Algorithm 2 core: cold OPQ builds use the
-    vectorized core whenever numpy imports and the pure-Python reference
-    otherwise (see :func:`repro.algorithms.opq_vec.build_queue`).
+    vectorized core whenever the menu's LCM fits int64 and the pure-Python
+    reference otherwise (see :func:`repro.algorithms.opq_vec.build_queue`).
+    No tunable sizes a flush either: the async frontend takes at most
+    :data:`~repro.service.async_service.MAX_BATCH_SIZE` queued requests.
 
     Attributes
     ----------
@@ -335,10 +337,6 @@ class ServiceConfig:
         near-one thresholds whose OPQ construction is astronomically
         expensive; a floor enforces a minimum quality of service.  ``None``
         disables the respective bound.
-    max_batch_size:
-        Most requests the async frontend flushes as one batch.  A flush
-        takes what is already queued, up to this bound, and never waits
-        for more.
     cache_backend:
         Plan-cache backend spec for :func:`repro.engine.backends.open_backend`
         (``"memory"``, ``"memory:<N>"``, ``"sqlite:<path>"``,
@@ -365,7 +363,6 @@ class ServiceConfig:
     verify: bool = True
     threshold_floor: Optional[float] = None
     threshold_cap: Optional[float] = None
-    max_batch_size: int = 16
     cache_backend: Optional[str] = None
     max_cache_entries: Optional[int] = None
     drift_window: int = 200
@@ -375,10 +372,6 @@ class ServiceConfig:
     drift_check_seconds: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ServiceError(
-                f"max_batch_size must be >= 1; got {self.max_batch_size}"
-            )
         for label, bound in (
             ("threshold_floor", self.threshold_floor),
             ("threshold_cap", self.threshold_cap),

@@ -4,7 +4,7 @@ Production traffic arrives one request at a time, while the synchronous
 :class:`~repro.service.facade.SladeService` blocks on the solver stack.
 :class:`AsyncSladeService` bridges the two: concurrent ``submit()`` calls
 enqueue requests, and a single dispatch loop flushes whatever is queued — up
-to ``ServiceConfig.max_batch_size`` per flush, never waiting for more — as
+to :data:`MAX_BATCH_SIZE` per flush, never waiting for more — as
 one batch through the facade on a worker thread, off the event loop.
 Per-request futures resolve with the same structured
 :class:`~repro.service.api.SolveResponse` the sync facade returns (including
@@ -35,6 +35,11 @@ from repro.service.api import (
 )
 from repro.service.facade import SladeService
 
+#: Most queued requests one flush takes.  A flush's responses resolve
+#: together when it returns, so this bound caps how long the first request
+#: of a burst waits behind its batch-mates.
+MAX_BATCH_SIZE = 16
+
 #: Queue sentinel marking the position after which no submissions exist.
 _SHUTDOWN = object()
 
@@ -52,8 +57,7 @@ class AsyncSladeService:
         built from ``config`` when omitted.
     config:
         Service tunables used when building the facade.  Mutually exclusive
-        with ``service`` (passing both raises :class:`ValueError`); either
-        way the flush bound is the facade config's ``max_batch_size``.
+        with ``service`` (passing both raises :class:`ValueError`).
 
     Usage::
 
@@ -146,7 +150,6 @@ class AsyncSladeService:
     async def _dispatch_loop(self) -> None:
         assert self._queue is not None
         queue = self._queue
-        limit = self.service.config.max_batch_size
         closing = False
         # After the shutdown sentinel nothing new is accepted: keep flushing
         # until everything queued before it is answered, then stop.
@@ -159,7 +162,7 @@ class AsyncSladeService:
                     closing = True
                 else:
                     batch.append(item)  # type: ignore[arg-type]
-                if len(batch) == limit or queue.empty():
+                if len(batch) == MAX_BATCH_SIZE or queue.empty():
                     break
                 item = queue.get_nowait()
             if batch:

@@ -1,7 +1,5 @@
 """Tests for the pluggable plan-cache storage backends."""
 
-import pickle
-
 import pytest
 
 from repro.algorithms.opq import build_optimal_priority_queue
@@ -52,14 +50,6 @@ class TestMemoryBackend:
         assert keys[2] in backend
         assert keys[1] not in backend
 
-    def test_merge_keeps_existing_entries(self, bins):
-        backend = MemoryBackend()
-        key = opq_key(bins, 0.9)
-        mine = build(bins, 0.9)
-        backend.put(key, mine)
-        backend.merge({key: build(bins, 0.9)})
-        assert backend.get(key) is mine
-
     def test_satisfies_protocol(self):
         assert isinstance(MemoryBackend(), CacheBackend)
 
@@ -108,22 +98,6 @@ class TestSQLiteBackend:
         assert keys[0] in backend
         assert keys[2] in backend
         assert keys[1] not in backend
-        backend.close()
-
-    def test_snapshot_is_picklable(self, bins, tmp_path):
-        backend = SQLiteBackend(tmp_path / "plans.db")
-        backend.put(opq_key(bins, 0.9), build(bins, 0.9))
-        snapshot = backend.snapshot()
-        assert len(pickle.dumps(snapshot)) > 0
-        assert set(snapshot) == {opq_key(bins, 0.9)}
-        backend.close()
-
-    def test_merge_ignores_existing_rows(self, bins, tmp_path):
-        backend = SQLiteBackend(tmp_path / "plans.db")
-        key = opq_key(bins, 0.9)
-        backend.put(key, build(bins, 0.9))
-        backend.merge({key: build(bins, 0.9), opq_key(bins, 0.95): build(bins, 0.95)})
-        assert len(backend) == 2
         backend.close()
 
     def test_clear_empties_table_and_memo(self, bins, tmp_path):

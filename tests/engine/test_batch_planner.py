@@ -5,7 +5,6 @@ import pytest
 from repro.core.problem import SladeProblem
 from repro.datasets.jelly import jelly_bin_set
 from repro.engine import BatchPlanner, BatchSpec, PlanCache
-from repro.engine.planner import EXECUTORS
 
 
 @pytest.fixture
@@ -97,11 +96,6 @@ class TestPlannerBasics:
         with pytest.raises(KeyError):
             BatchPlanner().solve(SladeProblem.homogeneous(5, 0.9, bins), "nope")
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            BatchPlanner(executor="gpu")
-        assert set(EXECUTORS) == {"serial", "thread", "process"}
-
 
 class TestOptions:
     def test_planner_level_options_apply(self, bins):
@@ -128,39 +122,6 @@ class TestOptions:
         # Explicit verify=True at call time must win over the planner default.
         result = planner.solve(problem, "opq", verify=True)
         assert result.feasible
-
-
-class TestProcessPrewarm:
-    def test_prewarm_covers_both_direct_and_group_threshold_keys(self, bins):
-        """The parent must warm every key a worker-side solver can request.
-
-        OPQSolver asks for the raw homogeneous threshold; OPQExtendedSolver
-        asks for the Algorithm 4 group threshold, a residual round-trip of
-        it that is not always bit-identical.  Cache keys are bit-exact, so
-        the prewarm covers both — otherwise workers silently rebuild queues.
-        """
-        from repro.algorithms.opq_extended import group_thresholds
-        from repro.engine.fingerprint import opq_key
-
-        threshold = 0.67  # a value whose residual round-trip differs from it
-        problem = SladeProblem.homogeneous(10, threshold, bins)
-        planner = BatchPlanner(executor="process")
-        planner._prewarm([problem], "opq-extended")
-        assert opq_key(bins, threshold) in planner.cache
-        for group_threshold in group_thresholds([threshold]):
-            assert opq_key(bins, group_threshold) in planner.cache
-
-    def test_homogeneous_opq_extended_process_batch_hits_prewarmed_cache(self, bins):
-        problems = [
-            SladeProblem.homogeneous(n, 0.67, bins) for n in (10, 20, 30)
-        ]
-        planner = BatchPlanner(executor="process", max_workers=2)
-        batch = planner.solve_many(problems, solver="opq-extended")
-        assert batch.all_feasible
-        # Every worker request is served from the shipped snapshot: the only
-        # misses are the parent's prewarm builds.
-        worker_requests = len(problems)
-        assert batch.stats.cache_hits >= worker_requests
 
 
 class TestHeterogeneousBatches:

@@ -1,14 +1,12 @@
 """Equivalence: the engine must change nothing but the wall-clock.
 
 Batch-planned results must be byte-for-byte identical to solving each problem
-individually with a cold solver — through the cache-hit path, the thread
-executor and the process executor alike.  Plans are compared via their
-canonical JSON serialisation, which captures every posting, bin and task id.
+individually with a cold solver, cache hits included.  Plans are compared via
+their canonical JSON serialisation, which captures every posting, bin and
+task id.
 """
 
 import json
-
-import pytest
 
 from repro.algorithms.registry import create_solver
 from repro.core.problem import SladeProblem
@@ -78,42 +76,3 @@ class TestSerialEquivalence:
         warm = planner.solve(problem, "opq")    # cache-hit path
         cold = create_solver("opq").solve(problem)
         assert plan_bytes(warm.plan) == plan_bytes(cold.plan)
-
-
-@pytest.mark.parametrize("executor", ["thread", "process"])
-class TestParallelEquivalence:
-    def test_homogeneous_parallel_plans_identical(self, executor):
-        problems = homogeneous_mix()
-        planner = BatchPlanner(executor=executor, max_workers=3)
-        batch = planner.solve_many(problems, solver="opq")
-        assert [item.index for item in batch] == list(range(len(problems)))
-        assert [
-            plan_bytes(item.result.plan) for item in batch
-        ] == cold_plan_bytes(problems, "opq")
-
-    def test_heterogeneous_parallel_plans_identical(self, executor):
-        problems = heterogeneous_mix()
-        planner = BatchPlanner(executor=executor, max_workers=2)
-        batch = planner.solve_many(problems, solver="opq-extended")
-        assert [
-            plan_bytes(item.result.plan) for item in batch
-        ] == cold_plan_bytes(problems, "opq-extended")
-
-
-class TestProcessPathDetails:
-    def test_process_workers_report_cache_hits(self):
-        problems = homogeneous_mix()
-        planner = BatchPlanner(executor="process", max_workers=2)
-        batch = planner.solve_many(problems, solver="opq")
-        # The parent pre-warms the 4 distinct (menu, threshold) queues and
-        # every worker request is then a hit against the shipped entries.
-        assert batch.stats.cache_misses == 4
-        assert batch.stats.cache_hits >= len(problems)
-
-    def test_non_cacheable_solver_through_process_pool(self):
-        problems = homogeneous_mix()[:2]
-        planner = BatchPlanner(executor="process", max_workers=2)
-        batch = planner.solve_many(problems, solver="greedy")
-        assert [
-            plan_bytes(item.result.plan) for item in batch
-        ] == cold_plan_bytes(problems, "greedy")

@@ -83,27 +83,6 @@ class TestLRUBound:
             PlanCache(max_entries=0)
 
 
-class TestWarmAndExport:
-    def test_warm_builds_each_once(self, bins):
-        cache = PlanCache()
-        cache.warm(bins, (0.9, 0.95, 0.9))
-        stats = cache.stats
-        assert stats.misses == 2
-        assert stats.hits == 1
-
-    def test_export_absorb_roundtrip(self, bins):
-        parent = PlanCache()
-        parent.warm(bins, (0.9, 0.95))
-        child = PlanCache()
-        child.absorb(parent.export_entries())
-        assert len(child) == 2
-        # Absorbed entries count as neither hit nor miss...
-        assert child.stats.requests == 0
-        # ...but serve requests as hits afterwards.
-        child.queue_for(bins, 0.9)
-        assert child.stats.hits == 1
-
-
 class TestStatsDelta:
     def test_since_produces_batch_scoped_numbers(self, bins):
         cache = PlanCache()

@@ -80,12 +80,6 @@ class CountingBackend:
         finally:
             self._exit()
 
-    def merge(self, entries):
-        self._inner.merge(entries)
-
-    def snapshot(self):
-        return self._inner.snapshot()
-
     def clear(self):
         self._inner.clear()
 

@@ -9,6 +9,7 @@ shared ``repro cached`` server.
 """
 
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -85,23 +86,13 @@ class TestRemoteBackend:
         ]
         backend.close()
 
-    def test_merge_and_clear(self, bins, server):
+    def test_put_and_clear(self, bins, server):
         backend = remote_for(server)
-        entries = {
-            opq_key(bins, t): build(bins, t) for t in (0.9, 0.95)
-        }
-        backend.merge(entries)
+        for threshold in (0.9, 0.95):
+            backend.put(opq_key(bins, threshold), build(bins, threshold))
         assert len(backend) == 2
         backend.clear()
         assert len(backend) == 0
-        backend.close()
-
-    def test_snapshot_is_empty_by_design(self, bins, server):
-        backend = remote_for(server)
-        backend.put(opq_key(bins, 0.9), build(bins, 0.9))
-        # Workers in a process pool reach the server themselves; nothing is
-        # exported through pickled snapshots.
-        assert backend.snapshot() == {}
         backend.close()
 
     def test_satisfies_protocol_and_is_persistent(self, server):
@@ -156,6 +147,16 @@ class TestRemoteBackend:
             RemoteBackend("h", 1, timeout=0)
         with pytest.raises(ValueError):
             RemoteBackend("h", 1, pool_size=0)
+
+    def test_stop_with_a_client_connected_logs_nothing(self, caplog):
+        handle = CacheServerThread()
+        backend = remote_for(handle)
+        assert backend.ping()  # leaves a pooled connection open
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            handle.stop()
+        assert not backend.ping()  # the server is gone, not just idle
+        backend.close()
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
     def test_pool_reuses_connections(self, bins, server):
         backend = remote_for(server)
@@ -216,21 +217,6 @@ class TestTieredBackend:
         assert tiered.remote.telemetry is telemetry
         assert telemetry.counter("cache.hits") == 1
         cache.close()
-
-    def test_snapshot_merges_tiers_with_local_winning(self, bins, server):
-        far = remote_for(server)
-        far_key = opq_key(bins, 0.95)
-        far.put(far_key, build(bins, 0.95))
-        tiered = TieredBackend(MemoryBackend(), remote_for(server))
-        local_key = opq_key(bins, 0.9)
-        local_queue = build(bins, 0.9)
-        tiered.local.put(local_key, local_queue)
-        snapshot = tiered.snapshot()
-        # The far tier exports nothing (remote snapshots are empty), the
-        # near tier exports its residents by reference.
-        assert snapshot == {local_key: local_queue}
-        far.close()
-        tiered.close()
 
     def test_sqlite_far_tier(self, bins, tmp_path):
         tiered = TieredBackend(

@@ -117,14 +117,11 @@ class TestStorageContract:
         assert key in backend
         backend.close()
 
-    def test_merge_clear_and_snapshot(self, bins, fleet):
+    def test_put_and_clear(self, bins, fleet):
         backend = ShardedBackend(endpoints(fleet), replicas=2)
-        backend.merge(
-            {opq_key(bins, t): build(bins, t) for t in (0.9, 0.95)}
-        )
+        for threshold in (0.9, 0.95):
+            backend.put(opq_key(bins, threshold), build(bins, threshold))
         assert len(backend) == 2
-        # Workers reach the shards themselves; snapshots ship nothing.
-        assert backend.snapshot() == {}
         backend.clear()
         assert len(backend) == 0
         backend.close()

@@ -18,6 +18,7 @@ from repro.service import (
     SladeService,
     SolveRequest,
 )
+from repro.service.async_service import MAX_BATCH_SIZE
 
 
 def run(coro):
@@ -76,7 +77,7 @@ class TestMicroBatching:
 
     def test_concurrent_submissions_coalesce(self, request_for):
         async def scenario():
-            async with AsyncSladeService(config=ServiceConfig(max_batch_size=8)) as svc:
+            async with AsyncSladeService() as svc:
                 return await svc.submit_many([request_for() for _ in range(6)])
 
         responses = run(scenario())
@@ -86,23 +87,25 @@ class TestMicroBatching:
         assert max(r.batch_size for r in responses) > 1
 
     def test_burst_larger_than_max_batch_splits_across_flushes(self, request_for):
+        burst = 2 * MAX_BATCH_SIZE + 1
+
         async def scenario():
-            async with AsyncSladeService(config=ServiceConfig(max_batch_size=2)) as svc:
+            async with AsyncSladeService() as svc:
                 return await svc.submit_many(
-                    [request_for(request_id=f"r{i}") for i in range(5)]
+                    [request_for(request_id=f"r{i}") for i in range(burst)]
                 )
 
         responses = run(scenario())
-        assert [r.request_id for r in responses] == [f"r{i}" for i in range(5)]
+        assert [r.request_id for r in responses] == [f"r{i}" for i in range(burst)]
         assert all(r.ok for r in responses)
-        assert all(r.batch_size <= 2 for r in responses)
-        # Five requests under a bound of two partition into at least three
-        # flushes, one of which is necessarily a singleton.
+        assert all(r.batch_size <= MAX_BATCH_SIZE for r in responses)
+        # The whole burst is queued before the dispatch loop runs again, so
+        # it leaves as two full flushes and a singleton.
         assert any(r.batch_size == 1 for r in responses)
 
     def test_failure_isolated_to_its_own_response(self, request_for):
         async def scenario():
-            async with AsyncSladeService(config=ServiceConfig(max_batch_size=8)) as svc:
+            async with AsyncSladeService() as svc:
                 return await svc.submit_many(
                     [
                         request_for(request_id="good-1"),
@@ -122,7 +125,7 @@ class TestMicroBatching:
 class TestLifecycle:
     def test_clean_shutdown_resolves_pending_requests(self, request_for):
         async def scenario():
-            svc = AsyncSladeService(config=ServiceConfig(max_batch_size=4))
+            svc = AsyncSladeService()
             await svc.start()
             pending = [
                 asyncio.ensure_future(svc.submit(request_for(request_id=f"p{i}")))

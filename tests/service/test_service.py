@@ -144,8 +144,6 @@ class TestNormalisation:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ServiceError):
-            ServiceConfig(max_batch_size=0)
-        with pytest.raises(ServiceError):
             ServiceConfig(threshold_cap=1.5)
         with pytest.raises(ServiceError):
             ServiceConfig(threshold_floor=0.9, threshold_cap=0.5)

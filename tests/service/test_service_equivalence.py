@@ -86,9 +86,7 @@ class TestAsyncEquivalence:
         requests = request_mix()
 
         async def scenario():
-            async with AsyncSladeService(
-                config=ServiceConfig(max_batch_size=4)
-            ) as svc:
+            async with AsyncSladeService() as svc:
                 return await svc.submit_many(requests)
 
         responses = asyncio.run(scenario())

@@ -75,15 +75,6 @@ class TestBatchCommand:
         assert "6/2" in out
         assert "all feasible       : True" in out
 
-    def test_batch_thread_executor(self, capsys):
-        exit_code = main([
-            "batch", "--n-values", "40,80", "--thresholds", "0.9",
-            "--max-cardinality", "6", "--executor", "thread", "--workers", "2",
-        ])
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "executor           : thread" in out
-
     def test_batch_invalid_grid_rejected(self):
         with pytest.raises(SystemExit):
             main(["batch", "--n-values", "ten"])
