@@ -8,9 +8,13 @@ from repro.engine.backends import (
     BackendSpecError,
     CacheBackend,
     MemoryBackend,
+    RemoteBackend,
+    ShardedBackend,
     SQLiteBackend,
+    TieredBackend,
     open_backend,
 )
+from repro.engine.backends.server import CacheServerThread
 from repro.engine.cache import PlanCache
 from repro.engine.fingerprint import opq_key
 
@@ -24,6 +28,63 @@ def bins():
 
 def build(bins, threshold):
     return build_optimal_priority_queue(bins, threshold)
+
+
+@pytest.fixture(params=["memory", "sqlite", "remote", "sharded", "tiered"])
+def any_backend(request, tmp_path):
+    """One instance of each storage implementation, servers included."""
+    servers = []
+
+    def endpoint():
+        servers.append(CacheServerThread())
+        return servers[-1].host, servers[-1].port
+
+    kind = request.param
+    if kind == "memory":
+        backend = MemoryBackend()
+    elif kind == "sqlite":
+        backend = SQLiteBackend(tmp_path / "plans.db")
+    elif kind == "remote":
+        backend = RemoteBackend(*endpoint())
+    elif kind == "sharded":
+        backend = ShardedBackend([endpoint() for _ in range(3)], replicas=2)
+    else:
+        backend = TieredBackend(MemoryBackend(), RemoteBackend(*endpoint()))
+    try:
+        yield backend
+    finally:
+        backend.close()
+        for server in servers:
+            server.stop()
+
+
+class TestProtocolAcrossBackends:
+    """Every implementation answers the whole storage protocol alike."""
+
+    def test_every_protocol_call(self, bins, any_backend):
+        backend = any_backend
+        assert isinstance(backend, CacheBackend)
+        assert backend.concurrent_safe
+        keys = [opq_key(bins, t) for t in (0.9, 0.95)]
+        assert backend.get(keys[0]) is None
+        assert keys[0] not in backend
+        assert backend.delete(keys[0]) is False
+        queue = build(bins, 0.9)
+        backend.put(keys[0], queue)
+        restored = backend.get(keys[0])
+        assert [(c.counts, c.lcm) for c in restored] == [
+            (c.counts, c.lcm) for c in queue
+        ]
+        assert keys[0] in backend
+        backend.put(keys[1], build(bins, 0.95))
+        assert len(backend) == 2
+        assert backend.delete(keys[0]) is True
+        assert keys[0] not in backend
+        assert backend.get(keys[0]) is None
+        assert len(backend) == 1
+        backend.clear()
+        assert len(backend) == 0
+        assert keys[1] not in backend
 
 
 class TestMemoryBackend:

@@ -1,5 +1,7 @@
 """Tests for the batch planner: dispatch, specs, options, statistics."""
 
+import threading
+
 import pytest
 
 from repro.core.problem import SladeProblem
@@ -96,6 +98,61 @@ class TestPlannerBasics:
         with pytest.raises(KeyError):
             BatchPlanner().solve(SladeProblem.homogeneous(5, 0.9, bins), "nope")
 
+    def test_empty_batch(self):
+        batch = BatchPlanner().solve_many([])
+        assert len(batch) == 0
+        assert batch.total_cost == 0
+        assert batch.all_feasible
+        assert batch.stats.instances == 0
+        assert batch.stats.cache_hits == batch.stats.cache_misses == 0
+        assert batch.stats.cache_hit_rate == 0.0
+
+    def test_statistics_count_only_this_batch(self, bins, spec):
+        planner = BatchPlanner()
+        # Earlier traffic on the same cache builds the 0.9 queue ...
+        planner.solve(SladeProblem.homogeneous(20, 0.9, bins), "opq")
+        batch = planner.solve_many(spec, "opq")
+        # ... so the batch builds only 0.95 and answers the rest as hits.
+        assert batch.stats.cache_misses == 1
+        assert batch.stats.cache_hits == 5
+        assert planner.cache.stats.misses == 2
+
+    def test_stats_report_fields(self, spec):
+        row = BatchPlanner().solve_many(spec, "opq").stats.as_dict()
+        assert set(row) == {
+            "instances", "solver", "wall_seconds", "solve_seconds",
+            "build_seconds", "cache_hits", "cache_misses", "cache_hit_rate",
+        }
+
+    def test_every_solve_runs_on_the_calling_thread(self, spec, monkeypatch):
+        from repro.engine import planner as planner_module
+
+        solving_threads = []
+        make_solver = planner_module._make_solver
+
+        def recording_make_solver(cache, solver, options):
+            made = make_solver(cache, solver, options)
+            solve = made.solve
+
+            def recorded_solve(problem):
+                solving_threads.append(threading.get_ident())
+                return solve(problem)
+
+            made.solve = recorded_solve
+            return made
+
+        monkeypatch.setattr(planner_module, "_make_solver", recording_make_solver)
+        callers = []
+
+        def run_batch():
+            callers.append(threading.get_ident())
+            BatchPlanner().solve_many(spec, "opq")
+
+        caller = threading.Thread(target=run_batch)
+        caller.start()
+        caller.join(timeout=60)
+        assert solving_threads == callers * len(spec)
+
 
 class TestOptions:
     def test_planner_level_options_apply(self, bins):
@@ -122,6 +179,37 @@ class TestOptions:
         # Explicit verify=True at call time must win over the planner default.
         result = planner.solve(problem, "opq", verify=True)
         assert result.feasible
+
+
+class TestWorkerProcesses:
+    def test_opq_extended_worker_hits_the_group_key_built_here(
+        self, bins, solve_in_processes
+    ):
+        """Another interpreter asks for the exact keys this one built.
+
+        OPQExtendedSolver asks for the Algorithm 4 group threshold, a
+        residual round-trip of the instance threshold (0.67's is not
+        bit-identical to it).  Cache keys are bit-exact, so a key derived
+        differently in another process would silently rebuild instead of
+        hitting the entries the fleet already shares.
+        """
+        from repro.engine.backends import RemoteBackend
+        from repro.engine.backends.server import CacheServerThread
+
+        problems = [
+            SladeProblem.homogeneous(n, 0.67, bins) for n in (10, 20, 30)
+        ]
+        with CacheServerThread() as server:
+            cache = PlanCache(backend=RemoteBackend(server.host, server.port))
+            warm = BatchPlanner(cache=cache).solve_many(
+                problems, solver="opq-extended"
+            )
+            cache.close()
+            _, counters = solve_in_processes(server, problems, "opq-extended", 2)
+        assert warm.all_feasible
+        assert warm.stats.cache_misses == 1
+        assert sum(hits for hits, _ in counters) == len(problems)
+        assert sum(misses for _, misses in counters) == 0
 
 
 class TestHeterogeneousBatches:

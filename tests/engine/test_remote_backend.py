@@ -12,8 +12,10 @@ import json
 import logging
 import os
 import signal
+import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -157,6 +159,28 @@ class TestRemoteBackend:
         assert not backend.ping()  # the server is gone, not just idle
         backend.close()
         assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    def test_stop_with_several_clients_connected_logs_nothing(self, caplog):
+        handle = CacheServerThread()
+        backends = [remote_for(handle) for _ in range(3)]
+        for backend in backends:
+            assert backend.ping()
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            handle.stop()
+        assert handle.server.connections == 3
+        for backend in backends:
+            backend.close()
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    def test_idle_connection_sees_eof_when_the_server_stops(self):
+        handle = CacheServerThread()
+        with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
+            deadline = time.monotonic() + 10
+            while handle.server.connections < 1:  # the handler is reading
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            handle.stop()
+            assert sock.recv(1) == b""
 
     def test_pool_reuses_connections(self, bins, server):
         backend = remote_for(server)
@@ -424,6 +448,34 @@ class TestFleetWarmStart:
             _, err = cached.communicate(timeout=20)
             assert cached.returncode == 0, err
         finally:
+            if cached.poll() is None:
+                cached.kill()
+                cached.communicate()
+
+
+class TestCachedShutdown:
+    def test_sigterm_with_a_client_connected_exits_cleanly(self):
+        env = dict(os.environ)
+        src_root = Path(__file__).resolve().parents[2] / "src"
+        env["PYTHONPATH"] = f"{src_root}{os.pathsep}{env.get('PYTHONPATH', '')}"
+        cached = subprocess.Popen(
+            [sys.executable, "-m", "repro", "cached", "127.0.0.1:0"],
+            env=env, stderr=subprocess.PIPE, text=True,
+        )
+        backend = None
+        try:
+            banner = cached.stderr.readline().strip()
+            assert banner.startswith("cache listening on "), banner
+            host, _, port = banner.rsplit(" ", 1)[1].rpartition(":")
+            backend = RemoteBackend(host, int(port))
+            assert backend.ping()  # leaves a pooled connection open
+            cached.send_signal(signal.SIGTERM)
+            _, err = cached.communicate(timeout=20)
+            assert cached.returncode == 0, err
+            assert err == ""
+        finally:
+            if backend is not None:
+                backend.close()
             if cached.poll() is None:
                 cached.kill()
                 cached.communicate()

@@ -103,6 +103,19 @@ class TestMicroBatching:
         # it leaves as two full flushes and a singleton.
         assert any(r.batch_size == 1 for r in responses)
 
+    def test_burst_of_exactly_the_batch_bound_is_one_flush(self, request_for):
+        async def scenario():
+            async with AsyncSladeService() as svc:
+                responses = await svc.submit_many(
+                    [request_for() for _ in range(MAX_BATCH_SIZE)]
+                )
+                return responses, svc.telemetry.counter("service.flushes")
+
+        responses, flushes = run(scenario())
+        assert all(r.ok for r in responses)
+        assert [r.batch_size for r in responses] == [MAX_BATCH_SIZE] * MAX_BATCH_SIZE
+        assert flushes == 1
+
     def test_failure_isolated_to_its_own_response(self, request_for):
         async def scenario():
             async with AsyncSladeService() as svc:
