@@ -17,12 +17,7 @@ The package mirrors Sections 4-6 of the paper:
   solver for tiny instances, used as a test oracle.
 """
 
-from repro.algorithms.anytime import (
-    AnytimeSolver,
-    QUALITY_GREEDY,
-    QUALITY_OPTIMAL,
-    QUALITY_REFINED,
-)
+from repro.algorithms.anytime import AnytimeSolver, QUALITY_GREEDY, QUALITY_OPTIMAL
 from repro.algorithms.base import Solver, SolveResult
 from repro.algorithms.baseline import CIPBaselineSolver
 from repro.algorithms.budgeted import BudgetedDecomposer, BudgetedResult
@@ -45,7 +40,6 @@ __all__ = [
     "AnytimeSolver",
     "QUALITY_GREEDY",
     "QUALITY_OPTIMAL",
-    "QUALITY_REFINED",
     "GreedySolver",
     "OPQSolver",
     "OPQExtendedSolver",

@@ -1,45 +1,37 @@
-"""The anytime wrapper: a feasible answer now, the optimal one budget permitting.
+"""The anytime wrapper: the optimal answer within the budget, greedy otherwise.
 
-The SLADE algorithms are all-or-nothing: Algorithm 3 needs the full optimal
-priority queue, and building that queue (Algorithm 2) *is* the latency tail at
-production scale.  :class:`AnytimeSolver` hedges between answering early at
-coarse quality and late at fine quality:
+Algorithm 3 needs the full optimal priority queue, and Algorithm 2 builds it
+all or nothing: a build either returns the full Pareto frontier or
+raises :class:`~repro.algorithms.opq.BuildAbandoned` at its deadline.
+:class:`AnytimeSolver` orders its ladder by cost:
 
-1. **Cached ladder rung** — if a *complete* OPQ for the instance is already in
-   the plan cache, the optimal answer is cheap; take it and stop.
-2. **Greedy floor** — otherwise run Algorithm 1 first.  It needs no queue, it
-   handles heterogeneous thresholds natively, and its plan is feasible by
-   construction, so there is always something to return.
-3. **Budgeted refinement** — with budget remaining, run Algorithm 2 under a
-   deadline.  Enumeration abandoned at the deadline leaves a *truncated*
-   Pareto frontier whose every element still satisfies the threshold, so
-   Algorithm 3 over it yields a feasible (possibly suboptimal) plan.  The
-   cheapest feasible plan across the rungs wins.
+1. **Cache** — when the plan cache already holds every queue the instance
+   needs, Algorithm 3 (or the Algorithm 5 group loop) runs over them.
+2. **Build** — otherwise Algorithm 2 builds each missing queue under the
+   deadline.  A finished build is **published** to the plan cache, so the
+   fleet reuses it; an abandoned one publishes nothing.
+3. **Greedy** — only when a build was abandoned does Algorithm 1 answer.
+   It needs no queue and its plan is feasible by construction.
 
-Every built queue is **published** back to the plan cache: a complete frontier
-overwrites a coarse one left by an earlier budget-starved request, so the
-fleet's cache monotonically refines toward optimality (see
-:meth:`repro.engine.cache.PlanCache.publish`).
-
-The result's ``quality`` metadata records how far the ladder got:
-``"optimal"`` — refinement ran to completion (the answer is what the
-all-or-nothing path would produce, or a cheaper feasible plan); ``"refined"``
-— a truncated frontier contributed; ``"greedy"`` — only the immediate
-heuristic fit the budget.
+The first two rungs answer with exactly the ``opq`` plan (homogeneous) or
+the ``opq-extended`` plan (heterogeneous), whether the cache was cold or
+warm.  The result's ``quality`` metadata is ``"optimal"`` for them and
+``"greedy"`` for the third; ``tier`` names the rung that answered
+(``"cache"``, ``"build"`` or ``"greedy"``).
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.algorithms.base import Solver
 from repro.algorithms.greedy import GreedySolver
 from repro.algorithms.opq import (
+    BuildAbandoned,
     OptimalPriorityQueue,
     OPQSolver,
     QueueFactory,
-    queue_is_complete,
 )
 from repro.algorithms.opq_vec import build_queue
 from repro.algorithms.opq_extended import (
@@ -47,19 +39,13 @@ from repro.algorithms.opq_extended import (
     solve_over_groups,
     ThresholdGroup,
 )
-from repro.core.errors import InfeasiblePlanError
 from repro.core.plan import DecompositionPlan
 from repro.core.problem import SladeProblem
 from repro.utils.logmath import residual_from_reliability
 
 #: The ladder rung markers carried in solver metadata and response provenance.
 QUALITY_OPTIMAL = "optimal"
-QUALITY_REFINED = "refined"
 QUALITY_GREEDY = "greedy"
-
-#: Below this many seconds of remaining budget, starting an Algorithm 2 run is
-#: pointless: the stride-based deadline check cannot stop it much faster.
-MIN_REFINE_SECONDS = 1e-4
 
 
 class AnytimeSolver(Solver):
@@ -71,15 +57,15 @@ class AnytimeSolver(Solver):
         See :class:`~repro.algorithms.base.Solver`.
     budget_seconds:
         Wall-clock budget for one :meth:`solve` call, measured from entry.
-        ``None`` means unbounded: the solver behaves like the plain OPQ path
-        (plus the greedy safety net) and always reports ``"optimal"``.
+        ``None`` means unbounded: no build is ever abandoned, so the solver
+        answers like the plain OPQ path and always reports ``"optimal"``.
     queue_factory:
         Optional queue supplier.  When the injected object additionally
         exposes ``peek(bins, threshold)`` and ``publish(bins, threshold,
         queue, build_seconds)`` — a :class:`~repro.engine.cache.PlanCache`,
         which is what the batch planner injects, does — cached queues are
         reused without paying for cold builds, and fresh builds are
-        published back so refined frontiers overwrite coarse cached ones.
+        published back for later requests.
     """
 
     name = "anytime"
@@ -135,93 +121,35 @@ class AnytimeSolver(Solver):
         )
         self.record("budget_seconds", self.budget_seconds)
         thresholds = self._group_reliabilities(problem)
-
-        # Rung 1: a complete cached frontier makes the optimal answer cheap.
-        cached = [self._peek(problem, t) for t in thresholds]
-        if all(q is not None and queue_is_complete(q) for q in cached):
-            plan = self._opq_plan(problem, thresholds, cached)
-            self.record("quality", QUALITY_OPTIMAL)
-            self.record("tier", "cache")
-            return plan
-
-        # Rung 2: the greedy floor — always feasible, never queue-bound.
-        greedy = GreedySolver(verify=False)
-        best = greedy._solve(problem)
-        best_cost = best.total_cost
-        quality = QUALITY_GREEDY
-        tier = "greedy"
-
-        # Rung 3: refine toward the full Pareto frontier, budget permitting.
-        remaining = (
-            float("inf") if deadline is None else deadline - time.monotonic()
-        )
-        if remaining > MIN_REFINE_SECONDS:
-            refined = self._refine(problem, thresholds, cached, deadline)
-            if refined is not None:
-                plan, complete, built = refined
-                if plan.total_cost <= best_cost:
-                    best, best_cost = plan, plan.total_cost
-                    tier = "build" if built else "cache"
-                quality = QUALITY_OPTIMAL if complete else QUALITY_REFINED
-        elif all(q is not None for q in cached):
-            # No budget to build, but an earlier request left (possibly
-            # truncated) frontiers in the cache: solving over them is cheap
-            # and at least as good as greedy more often than not.
-            plan = self._opq_plan(problem, thresholds, cached)
-            if plan.total_cost <= best_cost:
-                best, best_cost = plan, plan.total_cost
-                tier = "cache"
-            quality = QUALITY_REFINED
-
-        self.record("quality", quality)
+        queues = [self._peek(problem, t) for t in thresholds]
+        tier = "cache"
+        try:
+            for index, threshold in enumerate(thresholds):
+                if queues[index] is None:
+                    queues[index] = self._build(problem, threshold, deadline)
+                    tier = "build"
+        except BuildAbandoned:
+            self.record("quality", QUALITY_GREEDY)
+            self.record("tier", "greedy")
+            return GreedySolver(verify=False)._solve(problem)
+        self.record("quality", QUALITY_OPTIMAL)
         self.record("tier", tier)
-        return best
+        return self._opq_plan(problem, thresholds, queues)
 
-    def _refine(
+    def _build(
         self,
         problem: SladeProblem,
-        thresholds: List[float],
-        cached: List[Optional[OptimalPriorityQueue]],
+        threshold: float,
         deadline: Optional[float],
-    ) -> Optional[Tuple[DecompositionPlan, bool, bool]]:
-        """Build (or reuse) the per-group queues under the deadline and solve.
-
-        Returns ``(plan, complete, built)`` — whether every frontier is
-        exhaustive and whether any queue had to be constructed — or ``None``
-        when the budget expired before any frontier element was found (the
-        greedy floor stands).
-        """
-        queues: List[OptimalPriorityQueue] = []
-        built = False
-        for threshold, hit in zip(thresholds, cached):
-            if hit is not None and queue_is_complete(hit):
-                queues.append(hit)
-                continue
-            started = time.monotonic()
-            try:
-                queue = build_queue(
-                    problem.bins, threshold, deadline=deadline,
-                    seed=self._seed(problem, threshold),
-                )
-            except InfeasiblePlanError:
-                # Deadline elapsed before a single feasible combination was
-                # enumerated (or the instance is genuinely infeasible, in
-                # which case the greedy rung already raised).
-                return None
-            built = True
-            self._publish(
-                problem, threshold, queue, time.monotonic() - started
-            )
-            # A stale truncated cache entry is superseded in-process too: the
-            # fresh build is at least as refined as what peek returned.
-            queues.append(queue)
-        complete = all(queue_is_complete(q) for q in queues)
-        self.record(
-            "refined_groups",
-            sum(1 for q in queues if not queue_is_complete(q)),
+    ) -> OptimalPriorityQueue:
+        """Algorithm 2 under the deadline; a finished queue is published."""
+        started = time.monotonic()
+        queue = build_queue(
+            problem.bins, threshold, deadline=deadline,
+            seed=self._seed(problem, threshold),
         )
-        plan = self._opq_plan(problem, thresholds, queues)
-        return plan, complete, built
+        self._publish(problem, threshold, queue, time.monotonic() - started)
+        return queue
 
     # -- OPQ dispatch over prebuilt queues -------------------------------------
 

@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from repro.algorithms.base import Solver
 from repro.core.bins import TaskBin, TaskBinSet
-from repro.core.errors import InfeasiblePlanError, InvalidProblemError
+from repro.core.errors import InfeasiblePlanError, InvalidProblemError, SladeError
 from repro.core.plan import DecompositionPlan
 from repro.core.problem import SladeProblem
 from repro.utils.logmath import lcm_of, residual_from_reliability
@@ -162,11 +162,6 @@ class OptimalPriorityQueue:
     def __init__(self, threshold: float) -> None:
         self.threshold = threshold
         self._elements: List[Combination] = []
-        #: Whether the queue holds the full Pareto frontier for its threshold.
-        #: ``build_optimal_priority_queue`` clears it on deadline truncation
-        #: or when capped below the natural bound; copies must propagate it
-        #: (a restriction of a truncated frontier is still truncated).
-        self.complete: bool = True
         #: Enumeration counters of the build that produced the queue.
         self.stats: Dict[str, int] = {}
 
@@ -228,42 +223,23 @@ class OptimalPriorityQueue:
         """The Pareto-optimal combinations, best (largest LCM) first."""
         return list(self._elements)
 
-    def restricted_to_lcm(self, max_lcm: int) -> "OptimalPriorityQueue":
-        """Return a copy containing only combinations with ``LCM <= max_lcm``.
-
-        Algorithm 3 discards head elements whose block size exceeds the number
-        of remaining tasks; this helper performs the same filtering without
-        mutating the shared queue.
-        """
-        copy = OptimalPriorityQueue(self.threshold)
-        copy._elements = [c for c in self._elements if c.lcm <= max_lcm]
-        # A restriction of a truncated anytime frontier must not report
-        # itself exhaustive: propagate the provenance markers.
-        copy.complete = self.complete
-        copy.stats = dict(self.stats)
-        return copy
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OptimalPriorityQueue(threshold={self.threshold}, size={len(self)})"
 
 
-class _EnumerationDeadline(Exception):
-    """Internal unwind signal: the Algorithm 2 deadline elapsed mid-search."""
+class BuildAbandoned(SladeError):
+    """Algorithm 2 reached its deadline before it finished the frontier.
 
-
-def queue_is_complete(queue: OptimalPriorityQueue) -> bool:
-    """Whether a queue holds the *full* Pareto frontier for its threshold.
-
-    Queues built before the marker existed (e.g. unpickled from an old cache
-    payload) default to complete — they were always built exhaustively.
+    A build either returns the full Pareto frontier or raises this, so no
+    partial frontier ever reaches Algorithm 3 or the plan cache.  It is not
+    an :class:`~repro.core.errors.InfeasiblePlanError`: a timeout never
+    reads as an infeasible menu.
     """
-    return bool(getattr(queue, "complete", True))
 
 
 def build_optimal_priority_queue(
     bins: TaskBinSet,
     threshold: float,
-    max_assignments: Optional[int] = None,
     use_pruning: bool = True,
     deadline: Optional[float] = None,
     seed: Optional[Iterable[Combination]] = None,
@@ -276,22 +252,15 @@ def build_optimal_priority_queue(
         The task bin set ``B``.
     threshold:
         The reliability threshold ``t`` every combination must satisfy.
-    max_assignments:
-        Safety cap on the multiset size of a combination.  ``None`` derives the
-        natural bound ``ceil(-ln(1-t) / min_contribution)`` — one more
-        assignment than that can never be needed on the Pareto frontier.
     use_pruning:
         Apply the Lemma 1 domination pruning during enumeration (the default).
         Disabling it yields the same queue while visiting many more nodes; the
         flag exists for the ablation benchmark that quantifies the pruning
         rule's benefit.
     deadline:
-        Optional ``time.monotonic()`` instant at which to stop enumerating.
-        The search is abandoned (not aborted): every combination inserted so
-        far individually satisfies the threshold, so a truncated queue still
-        yields feasible — merely possibly suboptimal — plans.  This is the
-        anytime hook: serve from the truncated frontier now, rebuild the full
-        one later.
+        Optional ``time.monotonic()`` instant at which to give up.  A build
+        still enumerating then raises :class:`BuildAbandoned` and returns
+        nothing; the anytime ladder answers with greedy instead.
     seed:
         Optional combinations (from the *same* bin menu) to warm-start the
         frontier with — typically the cached frontier of a nearby threshold
@@ -306,10 +275,7 @@ def build_optimal_priority_queue(
     Returns
     -------
     OptimalPriorityQueue
-        The Pareto frontier of threshold-satisfying combinations.  The
-        ``complete`` attribute records whether the frontier is exhaustive
-        (no deadline truncation, no cap below the natural bound); see
-        :func:`queue_is_complete`.
+        The full Pareto frontier of threshold-satisfying combinations.
     """
     demand = residual_from_reliability(threshold)
     queue = OptimalPriorityQueue(threshold)
@@ -320,14 +286,12 @@ def build_optimal_priority_queue(
         raise InfeasiblePlanError(
             "no task bin has positive confidence; the OPQ would be empty"
         )
-    smallest = min(positive)
-    natural_bound = max(1, int(demand / smallest) + 1)
-    if max_assignments is None:
-        max_assignments = natural_bound
+    # One more assignment than this can never be needed on the Pareto
+    # frontier: the smallest positive contribution alone reaches the demand.
+    assignment_bound = int(demand / min(positive)) + 1
 
     counts: Dict[int, int] = {}
     stats = {"nodes": 0, "pruned": 0, "inserted": 0, "seeded": 0}
-    truncated = False
 
     if seed is not None:
         for donated in seed:
@@ -348,7 +312,7 @@ def build_optimal_priority_queue(
             # the per-node work.
             if (deadline is not None and stats["nodes"] % 64 == 0
                     and time.monotonic() >= deadline):
-                raise _EnumerationDeadline
+                raise BuildAbandoned(f"Algorithm 2 deadline passed at t={threshold}")
             candidate = Combination.from_counts(counts, bins)
 
             if use_pruning and queue.dominates(candidate.lcm, candidate.unit_cost):
@@ -357,30 +321,25 @@ def build_optimal_priority_queue(
             elif accumulated + contribution >= demand - 1e-12:
                 if queue.insert(candidate):
                     stats["inserted"] += 1
-            elif used + 1 < max_assignments:
+            elif used + 1 < assignment_bound:
                 enumerate_from(index, accumulated + contribution, used + 1)
 
             counts[cardinality] -= 1
             if counts[cardinality] == 0:
                 del counts[cardinality]
 
-    try:
-        # The stride check can't fire on tiny menus whose whole enumeration
-        # fits inside one stride, so an already-blown budget must be caught
-        # here or the result would be mislabelled complete.
-        if deadline is not None and time.monotonic() >= deadline:
-            raise _EnumerationDeadline
-        enumerate_from(0, 0.0, 0)
-    except _EnumerationDeadline:
-        truncated = True
+    # The stride check can't fire on tiny menus whose whole enumeration fits
+    # inside one stride; an already-blown budget is refused here, as the
+    # vectorized core refuses it before its first level.
+    if deadline is not None and time.monotonic() >= deadline:
+        raise BuildAbandoned(f"Algorithm 2 deadline passed at t={threshold}")
+    enumerate_from(0, 0.0, 0)
     if len(queue) == 0:
         raise InfeasiblePlanError(
-            f"no combination of at most {max_assignments} bin assignments "
+            f"no combination of at most {assignment_bound} bin assignments "
             f"reaches reliability threshold {threshold}"
-            + (" within the enumeration deadline" if truncated else "")
         )
     queue.stats = stats
-    queue.complete = not truncated and max_assignments >= natural_bound
     return queue
 
 

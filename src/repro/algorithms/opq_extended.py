@@ -100,7 +100,7 @@ def group_thresholds(thresholds: Sequence[float]) -> List[float]:
 
     This exposes the group boundaries *without* paying for queue
     construction, so the anytime ladder
-    (:class:`~repro.algorithms.anytime.AnytimeSolver`) can look up, refine
+    (:class:`~repro.algorithms.anytime.AnytimeSolver`) can look up, build
     and publish each group's queue in the plan cache itself.  It shares
     :func:`_group_boundaries` with :func:`build_opq_set`, so the two can
     never disagree on which queues an instance needs.

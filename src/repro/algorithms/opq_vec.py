@@ -52,6 +52,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.algorithms.opq import (
+    BuildAbandoned,
     Combination,
     OptimalPriorityQueue,
     build_optimal_priority_queue,
@@ -76,7 +77,6 @@ def _lcm_fits_int64(bins: TaskBinSet) -> bool:
 def build_queue(
     bins: TaskBinSet,
     threshold: float,
-    max_assignments: Optional[int] = None,
     use_pruning: bool = True,
     deadline: Optional[float] = None,
     seed: Optional[Iterable[Combination]] = None,
@@ -90,14 +90,12 @@ def build_queue(
     if _lcm_fits_int64(bins):
         return build_optimal_priority_queue_vec(
             bins, threshold,
-            max_assignments=max_assignments,
             use_pruning=use_pruning,
             deadline=deadline,
             seed=seed,
         )
     return build_optimal_priority_queue(
         bins, threshold,
-        max_assignments=max_assignments,
         use_pruning=use_pruning,
         deadline=deadline,
         seed=seed,
@@ -132,7 +130,6 @@ def _strict_survivors(lcm, uc):
 def build_optimal_priority_queue_vec(
     bins: TaskBinSet,
     threshold: float,
-    max_assignments: Optional[int] = None,
     use_pruning: bool = True,
     deadline: Optional[float] = None,
     seed: Optional[Iterable[Combination]] = None,
@@ -141,13 +138,12 @@ def build_optimal_priority_queue_vec(
 
     Parameters mirror
     :func:`~repro.algorithms.opq.build_optimal_priority_queue`.  The
-    ``deadline`` is checked once per tree level (the batch analogue of the
-    reference's per-64-nodes stride); a truncated queue carries whatever
-    satisfying combinations complete levels produced, every one of which
-    individually satisfies the threshold.  ``stats`` counts generated child
-    states as ``nodes`` and lower-bound-pruned states as ``pruned`` — the
-    breadth-first analogues of the reference's depth-first counters, not
-    equal to them.
+    ``deadline`` is checked before each tree level (the batch analogue of
+    the reference's per-64-nodes stride); past it the build raises
+    :class:`~repro.algorithms.opq.BuildAbandoned`.  ``stats`` counts
+    generated child states as ``nodes`` and lower-bound-pruned states as
+    ``pruned`` — the breadth-first analogues of the reference's
+    depth-first counters, not equal to them.
     """
     demand = residual_from_reliability(threshold)
     ordered_bins = bins.bins()
@@ -160,9 +156,8 @@ def build_optimal_priority_queue_vec(
         raise InfeasiblePlanError(
             "no task bin has positive confidence; the OPQ would be empty"
         )
-    natural_bound = max(1, int(demand / contrib[usable].min()) + 1)
-    if max_assignments is None:
-        max_assignments = natural_bound
+    # Tree depth: the reference core's bound on assignments per combination.
+    levels = int(demand / contrib[usable].min()) + 1
 
     # Cheapest way to buy one unit of residual from bin index j upward: the
     # lower-bound prune charges every unfinished state for its remaining
@@ -188,7 +183,6 @@ def build_optimal_priority_queue_vec(
     pool_uc: List = []
 
     stats = {"nodes": 0, "pruned": 0, "inserted": 0, "seeded": 0}
-    truncated = False
 
     seed_pool: List[Combination] = []
     if seed is not None:
@@ -207,14 +201,9 @@ def build_optimal_priority_queue_vec(
             frontier_lcm = merged_lcm[kept]
             frontier_uc = merged_uc[kept]
 
-    # The reference visits the first level unconditionally (its recursion
-    # guard is `used + 1 < max_assignments`), so a cap below one still
-    # yields the single-assignment candidates.
-    levels = max(1, max_assignments)
     for depth in range(levels):
         if deadline is not None and time.monotonic() >= deadline:
-            truncated = True
-            break
+            raise BuildAbandoned(f"Algorithm 2 deadline passed at t={threshold}")
         if counts.shape[0] == 0:
             break
         # Ragged child expansion: each state spawns one child per bin index
@@ -315,12 +304,10 @@ def build_optimal_priority_queue_vec(
 
     if len(queue) == 0:
         raise InfeasiblePlanError(
-            f"no combination of at most {max_assignments} bin assignments "
+            f"no combination of at most {levels} bin assignments "
             f"reaches reliability threshold {threshold}"
-            + (" within the enumeration deadline" if truncated else "")
         )
     queue.stats = stats
-    queue.complete = not truncated and max_assignments >= natural_bound
     return queue
 
 

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.algorithms.opq import OptimalPriorityQueue
-from repro.engine.backends.wire import decode_queue, encode_queue
+from repro.engine.backends.wire import WirePayloadError, decode_queue, encode_queue
 from repro.engine.fingerprint import OPQKey
 
 _SCHEMA = """
@@ -99,7 +99,14 @@ class SQLiteBackend:
             ).fetchone()
             if row is None:
                 return None
-            queue = decode_queue(row[0])
+            try:
+                queue = decode_queue(row[0])
+            except WirePayloadError:
+                # An undecodable row would fail every request for its key in
+                # every process sharing the file; purge it so the next build
+                # stores a good copy.
+                self.delete(key)
+                return None
             self._memo[key] = queue
             self._touch(key)
             return queue

@@ -280,7 +280,10 @@ def decode_queue(data: bytes) -> OptimalPriorityQueue:
 
     Raises :class:`WirePayloadError` for anything that does not unpickle into
     an :class:`~repro.algorithms.opq.OptimalPriorityQueue` — truncated blobs,
-    foreign pickles, or garbage bytes.
+    foreign pickles, or garbage bytes — and for a queue whose pickled state
+    marks it ``complete = False``.  Older builds stored deadline-cut
+    frontiers that way; Algorithm 3 needs the full frontier, so such an
+    entry is treated as corrupt and rebuilt.
     """
     try:
         value = pickle.loads(data)
@@ -291,4 +294,6 @@ def decode_queue(data: bytes) -> OptimalPriorityQueue:
             f"queue payload unpickled into {type(value).__name__}, "
             "not OptimalPriorityQueue"
         )
+    if vars(value).get("complete") is False:
+        raise WirePayloadError("queue payload holds a truncated frontier")
     return value

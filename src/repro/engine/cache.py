@@ -41,11 +41,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, TypeVar
 
-from repro.algorithms.opq import (
-    Combination,
-    OptimalPriorityQueue,
-    queue_is_complete,
-)
+from repro.algorithms.opq import Combination, OptimalPriorityQueue
 from repro.algorithms.opq_vec import build_queue
 from repro.core.bins import TaskBinSet
 from repro.engine.backends import CacheBackend, MemoryBackend
@@ -117,10 +113,9 @@ class CacheStats:
     evictions:
         Entries dropped by the backend's LRU bound (0 for unbounded stores).
     partial_hits:
-        ``peek`` calls answered with an *incomplete* (truncated) frontier.
-        The caller typically refines and publishes afterwards, so counting
-        these as plain hits double-counted the request once the publish
-        landed as a miss; they get their own counter instead.
+        Always 0.  Every stored queue is a full Pareto frontier, so no
+        lookup is partial; the field stays because stats readers (the
+        perfbench tracer) still read it.
     curve_seeds:
         Cold builds warm-started from a nearby threshold's cached frontier
         on the same bin menu (see :meth:`PlanCache.seed_for`).
@@ -136,7 +131,7 @@ class CacheStats:
 
     @property
     def requests(self) -> int:
-        """Total queue requests served (partial peeks are counted at publish)."""
+        """Total queue requests served."""
         return self.hits + self.misses
 
     @property
@@ -158,7 +153,6 @@ class CacheStats:
             entries=self.entries,
             build_seconds=self.build_seconds - earlier.build_seconds,
             evictions=self.evictions - earlier.evictions,
-            partial_hits=self.partial_hits - earlier.partial_hits,
             curve_seeds=self.curve_seeds - earlier.curve_seeds,
         )
 
@@ -182,10 +176,10 @@ class PlanCache:
     telemetry:
         Optional :class:`~repro.engine.telemetry.Telemetry` registry; when
         set, the cache reports ``cache.hits`` / ``cache.misses`` /
-        ``cache.partial_hits`` / ``cache.curve_seeds`` /
-        ``cache.evictions`` counters and ``cache.build_seconds`` alongside
-        its own :attr:`stats` (the service layer shares one registry across
-        the cache, planner, and transport so ``/metrics`` is one snapshot).
+        ``cache.curve_seeds`` / ``cache.evictions`` counters and
+        ``cache.build_seconds`` alongside its own :attr:`stats` (the service
+        layer shares one registry across the cache, planner, and transport
+        so ``/metrics`` is one snapshot).
 
     The cache is the one object solvers get queues from: calling it is
     :meth:`queue_for`, so it matches the
@@ -199,9 +193,8 @@ class PlanCache:
     and the service labels a request's ``cache`` field from it:
 
     * ``miss`` if the request built a queue or published one;
-    * else ``hit`` if any lookup returned a queue (a complete or partial
-      :meth:`peek`, a backend hit, or a coalesced wait on another
-      thread's build);
+    * else ``hit`` if any lookup returned a queue (a :meth:`peek`, a
+      backend hit, or a coalesced wait on another thread's build);
     * else ``bypass``.
     """
 
@@ -238,15 +231,14 @@ class PlanCache:
         self._inflight: Dict[OPQKey, _InflightBuild] = {}
         self._hits = 0
         self._misses = 0
-        self._partial_hits = 0
         self._curve_seeds = 0
         self._build_seconds = 0.0
         self._evictions_seen = getattr(backend, "evictions", 0)
         #: The plan curve: per bin-menu fingerprint, the thresholds whose
-        #: complete frontiers this process has seen, mapped to their backend
-        #: keys.  Purely an in-process index — the frontiers themselves stay
-        #: in the backend, and a stale curve point (evicted entry) is
-        #: dropped on the next lookup.
+        #: frontiers this process has seen, mapped to their backend keys.
+        #: Purely an in-process index — the frontiers themselves stay in the
+        #: backend, and a stale curve point (evicted entry) is dropped on
+        #: the next lookup.
         self._curves: Dict[str, Dict[float, OPQKey]] = {}
         #: Per thread: the open :class:`CacheLedger`, if any.
         self._local = threading.local()
@@ -287,7 +279,7 @@ class PlanCache:
             queue = self._guarded(lambda: self.backend.get(key))
             if queue is not None:
                 flight.queue = queue
-                self._register_curve_point(bins, threshold, key, queue)
+                self._register_curve_point(bins, threshold, key)
                 self._record_hit()
                 return queue
             seed = self.seed_for(bins, threshold)
@@ -296,7 +288,7 @@ class PlanCache:
                 queue = build_queue(bins, threshold, seed=seed)
             self._guarded(lambda: self.backend.put(key, queue))
             flight.queue = queue
-            self._register_curve_point(bins, threshold, key, queue)
+            self._register_curve_point(bins, threshold, key)
             self._note(built=True)
             self._record_miss(watch.elapsed, seeded=seed is not None)
             return queue
@@ -314,25 +306,15 @@ class PlanCache:
 
         The anytime path: a deadline-bounded caller wants the queue *if it is
         already there* but must never pay for a cold Algorithm 2 run it cannot
-        afford.  A found *complete* queue counts as a hit; an absent one
-        records nothing (the caller decides whether to build, and
-        :meth:`publish` accounts the build when it lands).  The returned
-        queue may be *incomplete* (a truncated frontier published by an
-        earlier budgeted build) — check
-        :func:`~repro.algorithms.opq.queue_is_complete`.  An incomplete
-        frontier is counted under ``cache.partial_hits`` instead of
-        ``cache.hits``: the caller will refine and publish it, and counting
-        the same request as both a hit and a (publish-time) miss skewed the
-        warm-rate windows.
+        afford.  A found queue counts as a hit; an absent one records nothing
+        (the caller decides whether to build, and :meth:`publish` accounts
+        the build when it lands).
         """
         key = opq_key(bins, threshold)
         queue = self._guarded(lambda: self.backend.get(key))
         if queue is not None:
-            if queue_is_complete(queue):
-                self._register_curve_point(bins, threshold, key, queue)
-                self._record_hit()
-            else:
-                self._record_partial_hit()
+            self._register_curve_point(bins, threshold, key)
+            self._record_hit()
         return queue
 
     def publish(
@@ -341,37 +323,21 @@ class PlanCache:
         threshold: float,
         queue: OptimalPriorityQueue,
         build_seconds: float = 0.0,
-    ) -> bool:
-        """Store a queue built outside the cache, refining coarse entries.
+    ) -> None:
+        """Store a queue built outside the cache, replacing any stored one.
 
-        A *complete* queue (full Pareto frontier) always lands, overwriting
-        any truncated frontier a budget-starved request published earlier.  An
-        *incomplete* queue only lands when nothing better is stored — it never
-        downgrades a complete entry, and between two incomplete frontiers the
-        larger one wins.  Returns whether the queue was stored; a stored build
-        is accounted as a miss with ``build_seconds`` of construction time,
-        mirroring :meth:`queue_for`'s bookkeeping.  The calling thread's
-        ledger records a build either way: the caller built the queue.
+        The anytime ladder and the drift sweep build queues themselves and
+        hand them over here.  Every build is a full Pareto frontier, so the
+        store is unconditional.  The build is accounted as a miss with
+        ``build_seconds`` of construction time, mirroring
+        :meth:`queue_for`'s bookkeeping, and the calling thread's ledger
+        records it.
         """
         self._note(built=True)
         key = opq_key(bins, threshold)
-
-        def exchange() -> bool:
-            existing = self.backend.get(key)
-            if existing is not None:
-                if queue_is_complete(existing) and not queue_is_complete(queue):
-                    return False
-                if (not queue_is_complete(queue)
-                        and len(existing) >= len(queue)):
-                    return False
-            self.backend.put(key, queue)
-            return True
-
-        stored = self._guarded(exchange)
-        if stored:
-            self._register_curve_point(bins, threshold, key, queue)
-            self._record_miss(build_seconds)
-        return stored
+        self._guarded(lambda: self.backend.put(key, queue))
+        self._register_curve_point(bins, threshold, key)
+        self._record_miss(build_seconds)
 
     # -- cross-threshold plan-curve reuse --------------------------------------
 
@@ -383,8 +349,8 @@ class PlanCache:
         The paper's scalability experiments (and production sweeps) vary the
         threshold over a fixed bin menu; nearby thresholds share Pareto-
         frontier structure.  This walks the menu's *plan curve* — the
-        thresholds whose complete frontiers this process has already seen —
-        and returns the closest donor's elements to warm-start a cold build
+        thresholds whose frontiers this process has already seen — and
+        returns the closest donor's elements to warm-start a cold build
         (:func:`~repro.algorithms.opq_vec.build_queue` re-validates each
         element, so donors below the requested threshold are safe too; the
         nearest donor *at or above* is preferred because its whole frontier
@@ -417,15 +383,9 @@ class PlanCache:
         return None
 
     def _register_curve_point(
-        self,
-        bins: TaskBinSet,
-        threshold: float,
-        key: OPQKey,
-        queue: OptimalPriorityQueue,
+        self, bins: TaskBinSet, threshold: float, key: OPQKey
     ) -> None:
-        """Remember that the menu's curve has a complete frontier at ``threshold``."""
-        if not queue_is_complete(queue):
-            return
+        """Remember that the menu's curve has a frontier at ``threshold``."""
         with self._lock:
             self._curves.setdefault(bins.fingerprint, {})[float(threshold)] = key
 
@@ -470,13 +430,6 @@ class PlanCache:
             if coalesced:
                 self.telemetry.increment("cache.coalesced_waits")
 
-    def _record_partial_hit(self) -> None:
-        self._note(built=False)
-        with self._lock:
-            self._partial_hits += 1
-        if self.telemetry is not None:
-            self.telemetry.increment("cache.partial_hits")
-
     def _record_miss(self, build_seconds: float, seeded: bool = False) -> None:
         with self._lock:
             self._misses += 1
@@ -516,7 +469,6 @@ class PlanCache:
         with self._lock:
             hits = self._hits
             misses = self._misses
-            partial_hits = self._partial_hits
             curve_seeds = self._curve_seeds
             build_seconds = self._build_seconds
             evictions = getattr(self.backend, "evictions", 0)
@@ -532,7 +484,6 @@ class PlanCache:
             entries=len(self.backend),
             build_seconds=build_seconds,
             evictions=evictions,
-            partial_hits=partial_hits,
             curve_seeds=curve_seeds,
         )
 

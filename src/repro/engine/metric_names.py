@@ -19,7 +19,6 @@ COUNTERS: FrozenSet[str] = frozenset({
     # plan cache
     "cache.hits",
     "cache.misses",
-    "cache.partial_hits",
     "cache.curve_seeds",
     "cache.coalesced_waits",
     "cache.evictions",

@@ -19,11 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
-from repro.algorithms.anytime import (
-    QUALITY_GREEDY,
-    QUALITY_OPTIMAL,
-    QUALITY_REFINED,
-)
+from repro.algorithms.anytime import QUALITY_GREEDY, QUALITY_OPTIMAL
 from repro.core.errors import SladeError
 from repro.core.plan import DecompositionPlan
 from repro.core.problem import SladeProblem
@@ -37,11 +33,11 @@ CACHE_NONE = "none"        #: the request failed before/without touching the cac
 #: Which ladder rung produced the winning plan (:attr:`Provenance.tier`).
 TIER_CACHE = "cache"       #: an OPQ served from the plan cache answered
 TIER_BUILD = "build"       #: a fresh (possibly budgeted) Algorithm 2 run answered
-TIER_GREEDY = "greedy"     #: the immediate greedy floor answered
+TIER_GREEDY = "greedy"     #: greedy answered; the Algorithm 2 build was abandoned
 TIER_SOLVER = "solver"     #: a cache-bypassing solver answered directly
 
 #: The degradation ladder, best first (:attr:`Provenance.quality` values).
-QUALITIES = (QUALITY_OPTIMAL, QUALITY_REFINED, QUALITY_GREEDY)
+QUALITIES = (QUALITY_OPTIMAL, QUALITY_GREEDY)
 
 
 class ServiceError(SladeError):
@@ -80,10 +76,10 @@ class DeadlineExceededError(ServiceError):
     """A request's latency budget expired before a plan could be produced.
 
     Raised only when there is *nothing* feasible to return: the budget was
-    already blown when the request reached the front of the queue (so the
-    planner never ran), or it expired before even the greedy floor finished.
-    A request whose budget runs out mid-refinement is *not* an error — it gets
-    its best-so-far plan with a degraded :attr:`Provenance.quality`.
+    already blown when the request reached the front of the queue, so the
+    planner never ran.  A request whose budget runs out mid-build is *not*
+    an error — it gets the greedy plan with :attr:`Provenance.quality`
+    ``"greedy"``.
     Transports surface this as a structured 503, counted separately from
     overload rejections via the ``deadline.expired`` counter.
     """
@@ -136,14 +132,16 @@ class Provenance:
     ----------
     quality:
         Degradation marker from the anytime ladder: ``"optimal"`` — the
-        requested computation ran to completion, the answer is undegraded;
-        ``"refined"`` — a deadline truncated the OPQ refinement and a
-        better-than-greedy best-so-far plan was served; ``"greedy"`` — only
-        the immediate greedy floor fit the budget.  Every value denotes a
-        *feasible* plan.
+        requested computation ran to completion, so the plan is the one the
+        solver computes over its full optimal priority queues;
+        ``"greedy"`` — the deadline abandoned the Algorithm 2 build and the
+        greedy heuristic answered.  Both values denote a *feasible* plan.
     tier:
-        Which ladder rung produced the winning plan: :data:`TIER_CACHE`,
-        :data:`TIER_BUILD`, :data:`TIER_GREEDY`, or :data:`TIER_SOLVER`.
+        Which ladder rung produced the plan: :data:`TIER_CACHE` (queues
+        from the plan cache), :data:`TIER_BUILD` (at least one queue built
+        for this request), :data:`TIER_GREEDY` (the greedy heuristic, the
+        one tier whose quality is ``"greedy"``), or :data:`TIER_SOLVER` (a
+        solver that does not use the plan cache).
     deadline_ms:
         The latency budget the request asked for (``None`` when unbudgeted).
     remaining_budget_ms:

@@ -133,8 +133,9 @@ class SladeHttpClient:
         """POST one solve request to ``/v2/solve``.
 
         ``deadline_ms`` stamps (or overrides) the request's latency budget;
-        the server answers best-so-far within it, or a structured 503 when
-        it expires before any feasible plan exists.
+        the server answers with the OPQ plan, or greedy when the OPQ build
+        runs out of budget, or a structured 503 when the budget expires
+        before the request is dispatched.
         """
         path = _solve_path(False, include_plan)
         body = _payload_dict(request, deadline_ms=deadline_ms)

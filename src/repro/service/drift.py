@@ -283,12 +283,11 @@ class DriftController:
         corrected = monitor.corrected_bin_set()
 
         started = time.perf_counter()
-        replanned = 0
         for threshold in thresholds:
             seed = self._seed_from_stale(stale, corrected, threshold)
             queue = build_queue(corrected, threshold, seed=seed)
-            if self.cache.publish(corrected, threshold, queue):
-                replanned += 1
+            self.cache.publish(corrected, threshold, queue)
+        replanned = len(thresholds)
 
         # Swap the active epoch before deleting the stale keys: from this
         # instant requests resolve to the corrected menu, whose entries are

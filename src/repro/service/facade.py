@@ -307,8 +307,8 @@ class SladeService:
         solver_name = request.solver
         if solver_name is None and request.deadline_ms is not None:
             # A budgeted request that does not pin a solver goes through the
-            # anytime ladder: feasible answer now, refinement while budget
-            # lasts.  Pinning a solver opts out (the facade still enforces
+            # anytime ladder: the OPQ plan if its queues are cached or built
+            # in time, greedy otherwise.  Pinning a solver opts out (the facade still enforces
             # the pre-dispatch expiry check, but not mid-solve preemption).
             solver_name = "anytime"
         if solver_name is None:

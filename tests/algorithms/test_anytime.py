@@ -1,29 +1,36 @@
-"""Tests for the anytime solver: the greedy floor, budgeted refinement,
-quality markers, and the truncated-frontier completeness bookkeeping."""
+"""Tests for the anytime solver: the cache, build and greedy rungs, their
+quality markers, and the all-or-nothing Algorithm 2 build under a deadline."""
 
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.algorithms import opq, opq_vec
 from repro.algorithms.anytime import (
     QUALITY_GREEDY,
     QUALITY_OPTIMAL,
-    QUALITY_REFINED,
     AnytimeSolver,
 )
 from repro.algorithms.opq import (
+    BuildAbandoned,
     OPQSolver,
     build_optimal_priority_queue,
-    queue_is_complete,
 )
+from repro.algorithms.opq_vec import build_optimal_priority_queue_vec
 from repro.algorithms.registry import create_solver, solver_accepts_budget
 from repro.core.bins import TaskBinSet
 from repro.core.errors import InfeasiblePlanError
 from repro.core.problem import SladeProblem
+from repro.datasets.jelly import jelly_bin_set
 from repro.engine import PlanCache
 
-QUALITIES = (QUALITY_OPTIMAL, QUALITY_REFINED, QUALITY_GREEDY)
+QUALITIES = (QUALITY_OPTIMAL, QUALITY_GREEDY)
+
+
+def postings(plan):
+    """A plan's postings, without the solver tag naming who produced it."""
+    return [(a.task_bin.cardinality, a.task_ids) for a in plan]
 
 
 class TestAnytimeLadder:
@@ -53,11 +60,16 @@ class TestAnytimeLadder:
         assert result.plan.is_feasible(heterogeneous_example_problem.task)
         assert result.metadata["quality"] in QUALITIES
 
-    def test_never_costs_more_than_greedy(self, example4_problem):
-        greedy = create_solver("greedy").solve(example4_problem)
+    def test_answers_with_the_opq_plan_or_the_greedy_plan(self, example4_problem):
+        optimal = postings(OPQSolver().solve(example4_problem).plan)
+        greedy = postings(create_solver("greedy").solve(example4_problem).plan)
         for budget in (0.0, 1e-4, None):
             result = AnytimeSolver(budget_seconds=budget).solve(example4_problem)
-            assert result.plan.total_cost <= greedy.plan.total_cost + 1e-9
+            expected = (
+                optimal if result.metadata["quality"] == QUALITY_OPTIMAL
+                else greedy
+            )
+            assert postings(result.plan) == expected
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -90,42 +102,36 @@ class TestCacheInterplay:
         assert second.plan.total_cost == pytest.approx(first.plan.total_cost)
 
     def test_expired_deadline_build_raises(self, table1_bins):
-        with pytest.raises(InfeasiblePlanError, match="deadline"):
-            build_optimal_priority_queue(
-                table1_bins, 0.9, deadline=time.monotonic() - 1.0
-            )
+        for build in (build_optimal_priority_queue, build_optimal_priority_queue_vec):
+            with pytest.raises(BuildAbandoned):
+                build(table1_bins, 0.9, deadline=time.monotonic() - 1.0)
+        # A timeout must never read as an infeasible menu.
+        assert not issubclass(BuildAbandoned, InfeasiblePlanError)
 
-    def test_capped_queue_marked_incomplete(self, table1_bins):
-        queue = build_optimal_priority_queue(
-            table1_bins, 0.9, max_assignments=1
-        )
-        assert len(queue) > 0
-        assert not queue_is_complete(queue)
+    @pytest.mark.parametrize(
+        "module,build",
+        [(opq, build_optimal_priority_queue),
+         (opq_vec, build_optimal_priority_queue_vec)],
+        ids=["reference", "vectorized"],
+    )
+    def test_deadline_mid_build_returns_no_frontier(self, cut_clock, module, build):
+        """Both cores abandon the whole build, not just the rest of it."""
+        with cut_clock(module, 1):
+            with pytest.raises(BuildAbandoned):
+                build(jelly_bin_set(20), 0.95, deadline=time.monotonic() + 60.0)
 
-    def test_untruncated_queue_marked_complete(self, table1_bins):
-        queue = build_optimal_priority_queue(table1_bins, 0.9)
-        assert queue_is_complete(queue)
-
-    def test_publish_never_downgrades_complete_entry(self, table1_bins):
+    def test_abandoned_build_publishes_nothing(self, cut_clock):
         cache = PlanCache()
-        complete = build_optimal_priority_queue(table1_bins, 0.9)
-        truncated = build_optimal_priority_queue(
-            table1_bins, 0.9, max_assignments=1
+        problem = SladeProblem.homogeneous(500, 0.95, jelly_bin_set(20))
+        with cut_clock(opq_vec, 1):
+            result = AnytimeSolver(
+                queue_factory=cache, budget_seconds=60.0
+            ).solve(problem)
+        assert (result.metadata["quality"], result.metadata["tier"]) == (
+            QUALITY_GREEDY, "greedy"
         )
-        assert cache.publish(table1_bins, 0.9, complete)
-        assert not cache.publish(table1_bins, 0.9, truncated)
-        assert queue_is_complete(cache.peek(table1_bins, 0.9))
-
-    def test_publish_upgrades_incomplete_entry(self, table1_bins):
-        cache = PlanCache()
-        truncated = build_optimal_priority_queue(
-            table1_bins, 0.9, max_assignments=1
-        )
-        complete = build_optimal_priority_queue(table1_bins, 0.9)
-        assert cache.publish(table1_bins, 0.9, truncated)
-        assert not queue_is_complete(cache.peek(table1_bins, 0.9))
-        assert cache.publish(table1_bins, 0.9, complete)
-        assert queue_is_complete(cache.peek(table1_bins, 0.9))
+        assert len(cache) == 0
+        assert cache.stats.misses == 0
 
 
 #: Random bin menus: 1-5 bins with distinct cardinalities.

@@ -110,27 +110,8 @@ class TestOptimalPriorityQueueInvariants:
         with pytest.raises(InfeasiblePlanError):
             _ = OptimalPriorityQueue(0.9).head
 
-    def test_restricted_to_lcm_filters(self, table1_bins):
-        queue = build_optimal_priority_queue(table1_bins, 0.95)
-        restricted = queue.restricted_to_lcm(2)
-        assert all(comb.lcm <= 2 for comb in restricted)
-        # The original queue is untouched.
-        assert any(comb.lcm == 3 for comb in queue)
-
-    def test_restricted_to_lcm_propagates_provenance(self, table1_bins):
-        """A restriction of a truncated frontier is still truncated."""
-        queue = build_optimal_priority_queue(table1_bins, 0.95)
-        queue.complete = False
-        restricted = queue.restricted_to_lcm(2)
-        assert restricted.complete is False
-        assert restricted.stats == queue.stats
-        # The copy's stats are a snapshot, not a shared dict.
-        restricted.stats["nodes"] = -1
-        assert queue.stats["nodes"] != -1
-
     def test_fresh_queue_is_complete_with_empty_stats(self):
         queue = OptimalPriorityQueue(0.9)
-        assert queue.complete is True
         assert queue.stats == {}
 
 

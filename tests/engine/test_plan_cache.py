@@ -230,24 +230,14 @@ class TestLedger:
             cache(bins, 0.95)
         assert ledger.label == "hit"
 
-    def test_partial_peek_is_a_hit(self, bins):
-        cache = PlanCache()
-        truncated = build_optimal_priority_queue(bins, 0.95)
-        truncated.complete = False
-        cache.publish(bins, 0.95, truncated)
-        with cache.ledger() as ledger:
-            assert cache.peek(bins, 0.95) is truncated
-        assert ledger.label == "hit"
-        assert cache.stats.partial_hits == 1
-
-    def test_publish_is_a_miss_even_when_not_stored(self, bins):
+    def test_publish_is_a_miss(self, bins):
         cache = PlanCache()
         cache.queue_for(bins, 0.95)
-        truncated = build_optimal_priority_queue(bins, 0.95)
-        truncated.complete = False
+        rebuilt = build_optimal_priority_queue(bins, 0.95)
         with cache.ledger() as ledger:
-            assert not cache.publish(bins, 0.95, truncated)
+            cache.publish(bins, 0.95, rebuilt)
         assert ledger.label == "miss"
+        assert cache.peek(bins, 0.95) is rebuilt
 
     def test_absent_peek_is_a_bypass(self, bins):
         cache = PlanCache()

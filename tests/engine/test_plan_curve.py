@@ -1,18 +1,16 @@
-"""Cross-threshold plan-curve reuse and the partial-hit accounting fix.
+"""Cross-threshold plan-curve reuse and peek accounting.
 
 The plan cache keeps an in-process *plan curve* per bin-menu fingerprint:
-the thresholds whose complete frontiers it has seen.  A cold build for a new
+the thresholds whose frontiers it has seen.  A cold build for a new
 threshold on a known menu is warm-started from the nearest curve point
 (``seed_for``), counted under ``cache.curve_seeds``, and must produce a
-queue byte-identical to an unseeded build.  Separately, ``peek`` answering
-with an *incomplete* frontier must count ``cache.partial_hits`` — not
-``cache.hits`` — so a refine-then-publish request is no longer double
-counted.
+queue byte-identical to an unseeded build.  Every stored queue is a full
+frontier, so a ``peek`` that finds one is a plain hit and
+``partial_hits`` stays 0.
 """
 
 import pytest
 
-from repro.algorithms.opq import build_optimal_priority_queue
 from repro.core.bins import TaskBinSet
 from repro.engine.backends import MemoryBackend
 from repro.engine.cache import PlanCache
@@ -33,37 +31,12 @@ def frontier_bytes(queue):
 
 
 class TestPartialHitAccounting:
-    def test_incomplete_peek_counts_partial_not_hit(self, bins):
-        telemetry = Telemetry()
-        cache = PlanCache(telemetry=telemetry)
-        truncated = build_optimal_priority_queue(bins, 0.95)
-        truncated.complete = False
-        assert cache.publish(bins, 0.95, truncated)
-
-        assert cache.peek(bins, 0.95) is truncated
-        stats = cache.stats
-        assert stats.partial_hits == 1
-        assert stats.hits == 0
-        assert telemetry.counter("cache.partial_hits") == 1
-        assert telemetry.counter("cache.hits") == 0
-
     def test_complete_peek_still_counts_a_hit(self, bins):
         cache = PlanCache()
         cache.queue_for(bins, 0.95)
         assert cache.peek(bins, 0.95) is not None
         stats = cache.stats
         assert (stats.hits, stats.partial_hits) == (1, 0)
-
-    def test_since_subtracts_the_new_counters(self, bins):
-        cache = PlanCache()
-        truncated = build_optimal_priority_queue(bins, 0.95)
-        truncated.complete = False
-        cache.publish(bins, 0.95, truncated)
-        cache.peek(bins, 0.95)
-        before = cache.stats
-        cache.peek(bins, 0.95)
-        delta = cache.stats.since(before)
-        assert delta.partial_hits == 1
 
 
 class TestCurveSeeding:
@@ -119,13 +92,6 @@ class TestCurveSeeding:
         # is found without tripping over the stale one again.
         cache.queue_for(bins, 0.9)
         assert cache.seed_for(bins, 0.95) is not None
-
-    def test_incomplete_queues_never_join_the_curve(self, bins):
-        cache = PlanCache()
-        truncated = build_optimal_priority_queue(bins, 0.97)
-        truncated.complete = False
-        cache.publish(bins, 0.97, truncated)
-        assert cache.seed_for(bins, 0.9) is None
 
     def test_seeding_probe_does_not_refresh_lru_recency(self, bins):
         backend = MemoryBackend(max_entries=2)

@@ -484,33 +484,45 @@ class TestCachedShutdown:
 class TestDeleteOverTheWire:
     def test_remote_delete_true_only_when_present(self, bins, server):
         backend = remote_for(server)
-        key = opq_key(bins, 0.95)
-        assert backend.delete(key) is False
-        backend.put(key, build(bins, 0.95))
-        assert backend.delete(key) is True
-        assert backend.get(key) is None
-        assert backend.delete(key) is False
+        try:
+            key = opq_key(bins, 0.95)
+            assert backend.delete(key) is False
+            backend.put(key, build(bins, 0.95))
+            assert backend.delete(key) is True
+            assert backend.get(key) is None
+            assert backend.delete(key) is False
+        finally:
+            backend.close()
 
     def test_remote_delete_fails_open_when_unreachable(self, bins, server):
         backend = remote_for(server)
-        key = opq_key(bins, 0.95)
-        backend.put(key, build(bins, 0.95))
-        server.stop()
-        assert backend.delete(key) is False
+        try:
+            key = opq_key(bins, 0.95)
+            backend.put(key, build(bins, 0.95))
+            server.stop()
+            assert backend.delete(key) is False
+        finally:
+            backend.close()
 
     def test_tiered_delete_purges_both_tiers(self, bins, server):
         backend = TieredBackend(MemoryBackend(), remote_for(server))
-        key = opq_key(bins, 0.95)
-        backend.put(key, build(bins, 0.95))   # write-through: both tiers hold it
-        assert key in backend.local
-        assert backend.delete(key) is True
-        assert key not in backend.local
-        assert backend.remote.get(key) is None
-        assert backend.get(key) is None
+        try:
+            key = opq_key(bins, 0.95)
+            backend.put(key, build(bins, 0.95))   # write-through: both tiers hold it
+            assert key in backend.local
+            assert backend.delete(key) is True
+            assert key not in backend.local
+            assert backend.remote.get(key) is None
+            assert backend.get(key) is None
+        finally:
+            backend.close()
 
     def test_tiered_delete_reports_near_only_removal(self, bins, server):
         backend = TieredBackend(MemoryBackend(), remote_for(server))
-        key = opq_key(bins, 0.95)
-        backend.local.put(key, build(bins, 0.95))
-        assert backend.delete(key) is True
-        assert backend.get(key) is None
+        try:
+            key = opq_key(bins, 0.95)
+            backend.local.put(key, build(bins, 0.95))
+            assert backend.delete(key) is True
+            assert backend.get(key) is None
+        finally:
+            backend.close()

@@ -160,6 +160,18 @@ class TestQueuePayloadCodec:
         with pytest.raises(WirePayloadError, match="not OptimalPriorityQueue"):
             decode_queue(pickle.dumps({"not": "a queue"}))
 
+    def test_truncated_frontiers_from_older_builds_rejected(self):
+        """Older builds pickled a ``complete`` flag; only ``False`` is refused."""
+        bins = TaskBinSet.from_triples(
+            [(1, 0.9, 0.10), (2, 0.85, 0.18), (3, 0.8, 0.24)], name="t"
+        )
+        queue = build_optimal_priority_queue(bins, 0.95)
+        queue.complete = True
+        assert len(decode_queue(encode_queue(queue))) == len(queue)
+        queue.complete = False
+        with pytest.raises(WirePayloadError, match="truncated frontier"):
+            decode_queue(encode_queue(queue))
+
 
 @pytest.fixture(scope="module")
 def live_server():

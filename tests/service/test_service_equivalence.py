@@ -136,3 +136,49 @@ class TestClampingChangesAreExplicit:
         assert plan_bytes(response.plan) == plan_bytes(
             create_solver("opq").solve(capped).plan
         )
+
+
+def untagged_bytes(plan) -> bytes:
+    """``plan_bytes`` without the solver tag, which names the solver that ran."""
+    from repro.io.serialization import plan_to_dict
+
+    body = plan_to_dict(plan)
+    del body["solver"]
+    return json.dumps(body, sort_keys=True).encode("utf-8")
+
+
+class TestBudgetedEquivalence:
+    """A budgeted request that pins no solver runs the anytime ladder.
+
+    With a budget no build outlasts, its plan is the cold ``anytime`` plan,
+    which is the ``opq`` (or ``opq-extended``) plan, whether the cache was
+    cold or already held the queue.
+    """
+
+    @staticmethod
+    def problems():
+        problems = [request.problem for request in request_mix()]
+        problems.append(SladeProblem.homogeneous(57, 0.9, jelly_bin_set(20)))
+        return problems
+
+    def assert_plans_match_cold_solvers(self, service):
+        for problem in self.problems():
+            anytime = create_solver("anytime").solve(problem).plan
+            exact = create_solver(
+                "opq" if problem.is_homogeneous else "opq-extended"
+            ).solve(problem).plan
+            for attempt in range(2):
+                response = service.solve(
+                    SolveRequest(problem=problem, deadline_ms=60000)
+                )
+                assert response.ok, (problem.name, attempt)
+                assert plan_bytes(response.plan) == plan_bytes(anytime)
+                assert untagged_bytes(response.plan) == untagged_bytes(exact)
+
+    def test_memory_backed_budgeted_plans_match(self):
+        with SladeService() as service:
+            self.assert_plans_match_cold_solvers(service)
+
+    def test_sqlite_backed_budgeted_plans_match(self, tmp_path):
+        with SladeService(backend=SQLiteBackend(tmp_path / "plans.db")) as service:
+            self.assert_plans_match_cold_solvers(service)
