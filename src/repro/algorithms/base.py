@@ -35,6 +35,11 @@ class SolveResult:
         Name of the algorithm that produced the plan.
     metadata:
         Free-form algorithm diagnostics (iterations, pruned nodes, ...).
+    verified:
+        Whether :meth:`Solver.solve` already checked the plan against every
+        atomic task's threshold.  That check raises on an infeasible plan,
+        so a verified result is feasible and :attr:`feasible` does not run
+        the per-task pass a second time.
     """
 
     plan: DecompositionPlan
@@ -42,6 +47,7 @@ class SolveResult:
     elapsed_seconds: float
     solver: str
     metadata: Dict[str, Any] = field(default_factory=dict)
+    verified: bool = False
 
     @property
     def total_cost(self) -> float:
@@ -50,8 +56,12 @@ class SolveResult:
 
     @property
     def feasible(self) -> bool:
-        """Whether the plan satisfies every atomic task's threshold."""
-        return self.plan.is_feasible(self.problem.task)
+        """Whether the plan satisfies every atomic task's threshold.
+
+        Reuses the solve's own verification; only a result solved with
+        ``verify=False`` is checked here.
+        """
+        return self.verified or self.plan.is_feasible(self.problem.task)
 
     def summary(self) -> Dict[str, Any]:
         """A flat dictionary for experiment reports."""
@@ -82,7 +92,10 @@ class Solver(abc.ABC):
         When ``True`` (the default) the produced plan is checked against every
         atomic task's reliability threshold and an
         :class:`~repro.core.errors.InfeasiblePlanError` is raised on failure.
-        Benchmarks may disable the check to time the pure algorithm.
+        That is the solve's one verification: the result records it
+        (:attr:`SolveResult.verified`), and :attr:`SolveResult.feasible`
+        reuses it.  Benchmarks may disable the check to time the pure
+        algorithm; ``feasible`` then runs the check each time it is read.
     """
 
     #: Human-readable solver name; subclasses override.
@@ -119,6 +132,7 @@ class Solver(abc.ABC):
             elapsed_seconds=watch.elapsed,
             solver=self.name,
             metadata=dict(self._metadata),
+            verified=self.verify,
         )
 
     def record(self, key: str, value: Any) -> None:

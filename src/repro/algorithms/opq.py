@@ -411,7 +411,10 @@ class OPQSolver(Solver):
             self.record("opq_nodes", getattr(queue, "stats", {}).get("nodes"))
 
         plan = DecompositionPlan(solver=self.name)
-        pending = [atomic.task_id for atomic in problem.task]
+        # Blocks are cut from the id list by offset: ``task_ids[start:]`` is
+        # the pending tail, so each block costs its own length, not n's.
+        task_ids = problem.task.task_ids
+        start = 0
         elements = queue.elements()
         if not elements:
             raise InfeasiblePlanError("the optimal priority queue is empty")
@@ -420,9 +423,9 @@ class OPQSolver(Solver):
         previous_block_cost = float("inf")
         iterations = 0
 
-        while pending:
+        while start < len(task_ids):
             iterations += 1
-            remaining = len(pending)
+            remaining = len(task_ids) - start
 
             # Drop head elements whose block is larger than the remaining task
             # count (Algorithm 3, lines 4-5).
@@ -439,8 +442,7 @@ class OPQSolver(Solver):
                 fallback = previous
                 if fallback is None:
                     fallback = min(queue.elements(), key=lambda comb: comb.block_cost)
-                self._assign_block(plan, fallback, pending)
-                pending = []
+                self._assign_block(plan, fallback, task_ids[start:])
                 break
 
             head = elements[0]
@@ -451,13 +453,12 @@ class OPQSolver(Solver):
                 # Covering the remainder with several head blocks would cost
                 # more than one extra application of the previous combination,
                 # so reuse the previous one (Algorithm 3, lines 7-10).
-                self._assign_block(plan, previous, pending)
-                pending = []
+                self._assign_block(plan, previous, task_ids[start:])
                 break
 
             for _block in range(blocks):
-                block_ids, pending = pending[: head.lcm], pending[head.lcm:]
-                self._assign_block(plan, head, block_ids)
+                self._assign_block(plan, head, task_ids[start:start + head.lcm])
+                start += head.lcm
 
             previous = head
             previous_block_cost = head.block_cost

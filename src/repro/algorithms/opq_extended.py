@@ -91,7 +91,7 @@ def _group_boundaries(thresholds: Sequence[float]) -> List[float]:
     """The residual-space upper bounds of the Algorithm 4 groups."""
     if not thresholds:
         raise InvalidProblemError("thresholds must not be empty")
-    residuals = [residual_from_reliability(t) for t in thresholds]
+    residuals = [residual_from_reliability(t) for t in set(thresholds)]
     return partition_boundaries(min(residuals), max(residuals))
 
 
@@ -190,10 +190,14 @@ def solve_over_groups(
     bound, which dominates each individual threshold in the group.  The
     per-group plans are concatenated in group order.  Returns the plan and
     the number of tasks each group received.
+
+    The residuals are read from the task's columns, and each group's task
+    is cut from them (:meth:`CrowdsourcingTask.subset`), so no atomic task
+    is built.
     """
     residuals = {
-        atomic.task_id: residual_from_reliability(atomic.threshold)
-        for atomic in problem.task
+        task_id: residual_from_reliability(threshold)
+        for task_id, threshold in zip(problem.task.task_ids, problem.task.thresholds)
     }
     membership = assign_to_groups(residuals, groups)
     plan = DecompositionPlan()

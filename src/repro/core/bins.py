@@ -94,6 +94,9 @@ class TaskBinSet:
         happen to round back to the originals.
     """
 
+    #: :attr:`fingerprint`, once computed (set on the instance).
+    _fingerprint: Optional[str] = None
+
     def __init__(
         self,
         bins: Iterable[TaskBin],
@@ -115,6 +118,13 @@ class TaskBinSet:
             self._by_cardinality[task_bin.cardinality] = task_bin
         if not self._by_cardinality:
             raise InvalidBinError("a task bin set needs at least one bin")
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Cached queues pickle their menu; leaving the memo out keeps those
+        # payloads byte-identical whether or not the fingerprint was read.
+        state = dict(self.__dict__)
+        state.pop("_fingerprint", None)
+        return state
 
     # -- construction helpers -------------------------------------------------
 
@@ -207,11 +217,19 @@ class TaskBinSet:
         (unlike ``hash()``), so the batch planning engine can key shared OPQ
         caches with it.  Epoch 0 contributes no token, keeping fingerprints
         (and persisted cache files) byte-identical to pre-epoch builds.
+        Computed on first use and kept: a warm request reads it six times
+        (drift registry, calibration check twice, cache key, plan curve,
+        problem digest), and no code changes a menu after construction.
         """
-        tokens: Tuple[str, ...] = ("task_bin_set",)
-        if self.calibration_epoch:
-            tokens += (f"epoch={self.calibration_epoch}",)
-        return stable_digest(tokens + tuple(b.fingerprint_token for b in self))
+        fingerprint = self._fingerprint
+        if fingerprint is None:
+            tokens: Tuple[str, ...] = ("task_bin_set",)
+            if self.calibration_epoch:
+                tokens += (f"epoch={self.calibration_epoch}",)
+            fingerprint = self._fingerprint = stable_digest(
+                tokens + tuple(b.fingerprint_token for b in self)
+            )
+        return fingerprint
 
     def bins(self) -> List[TaskBin]:
         """Return the bins as a list ordered by cardinality."""

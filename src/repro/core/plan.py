@@ -155,8 +155,15 @@ class DecompositionPlan:
         Tasks never mentioned by the plan are simply absent from the mapping.
         """
         totals: Dict[int, float] = defaultdict(float)
+        # One log per bin, not per posting; postings share their bin objects.
+        contributions: Dict[int, float] = {}
         for assignment in self._assignments:
-            contribution = assignment.task_bin.residual_contribution
+            task_bin = assignment.task_bin
+            contribution = contributions.get(id(task_bin))
+            if contribution is None:
+                contribution = contributions[id(task_bin)] = (
+                    task_bin.residual_contribution
+                )
             for task_id in assignment.task_ids:
                 totals[task_id] += contribution
         return dict(totals)
@@ -179,15 +186,23 @@ class DecompositionPlan:
     # -- feasibility -------------------------------------------------------------------
 
     def unsatisfied_tasks(self, task: CrowdsourcingTask) -> List[int]:
-        """Identifiers of atomic tasks whose reliability threshold is not met."""
+        """Identifiers of atomic tasks whose reliability threshold is not met.
+
+        Every task is checked against the residual its own postings add up
+        to; only the demand ``-ln(1 - t)`` is computed once per distinct
+        threshold.
+        """
         residuals = self.residuals()
-        failing = []
-        for atomic in task:
-            achieved = residuals.get(atomic.task_id, 0.0)
-            demanded = residual_from_reliability(atomic.threshold)
-            if achieved + RESIDUAL_EPSILON < demanded:
-                failing.append(atomic.task_id)
-        return failing
+        thresholds = task.thresholds
+        demands = {
+            threshold: residual_from_reliability(threshold)
+            for threshold in set(thresholds)
+        }
+        return [
+            task_id
+            for task_id, threshold in zip(task.task_ids, thresholds)
+            if residuals.get(task_id, 0.0) + RESIDUAL_EPSILON < demands[threshold]
+        ]
 
     def is_feasible(self, task: CrowdsourcingTask) -> bool:
         """Whether every atomic task of ``task`` meets its threshold."""
@@ -223,7 +238,7 @@ class DecompositionPlan:
             info["feasible"] = self.is_feasible(task)
             info["cost_per_task"] = self.cost_per_task(task)
             reliabilities = self.reliabilities()
-            covered = [reliabilities.get(t.task_id, 0.0) for t in task]
+            covered = [reliabilities.get(task_id, 0.0) for task_id in task.task_ids]
             info["min_reliability"] = min(covered)
             info["mean_reliability"] = sum(covered) / len(covered)
         return info

@@ -104,7 +104,7 @@ class SladeProblem:
             raise InvalidProblemError(
                 "instance is heterogeneous; there is no single threshold"
             )
-        return self.task[0].threshold
+        return self.task.min_threshold
 
     @property
     def atomic_tasks(self) -> List[AtomicTask]:
@@ -147,7 +147,7 @@ class SladeProblem:
         """A one-line human-readable description for logs and reports."""
         kind = "homogeneous" if self.is_homogeneous else "heterogeneous"
         thresholds = (
-            f"t={self.task[0].threshold:.3f}"
+            f"t={self.homogeneous_threshold:.3f}"
             if self.is_homogeneous
             else f"t in [{self.task.min_threshold:.3f}, {self.task.max_threshold:.3f}]"
         )

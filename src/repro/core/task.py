@@ -10,7 +10,7 @@ the simulator: the question and its ground truth), and a reliability threshold
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Set
 
 from repro.core.errors import InvalidProblemError
 from repro.utils.hashing import float_token, stable_digest
@@ -64,6 +64,14 @@ class CrowdsourcingTask:
     identifiers must be unique; they are usually ``0..n-1`` but any distinct
     non-negative integers are accepted (the simulator reuses upstream IDs).
 
+    The task's state is two columns, the ids and the thresholds.  The
+    solvers, the feasibility check and the fingerprint read only those, so
+    :meth:`homogeneous` and :meth:`heterogeneous` never build an
+    :class:`AtomicTask`: one object per atomic task took longer to build
+    than Algorithm 3 takes to answer a warm request.  The atomic tasks are
+    built once, on the first iteration or index, unless the constructor was
+    handed them (payloads included).
+
     Parameters
     ----------
     tasks:
@@ -73,17 +81,37 @@ class CrowdsourcingTask:
     """
 
     def __init__(self, tasks: Iterable[AtomicTask], name: str = "task") -> None:
-        self._tasks: List[AtomicTask] = list(tasks)
-        self.name = name
-        if not self._tasks:
+        atomic = list(tasks)
+        task_ids = [task.task_id for task in atomic]
+        self._adopt(task_ids, [task.threshold for task in atomic], name)
+        if len(set(task_ids)) != len(task_ids):
+            seen: Set[int] = set()
+            for task_id in task_ids:
+                if task_id in seen:
+                    raise InvalidProblemError(
+                        f"duplicate atomic task id {task_id} in crowdsourcing task"
+                    )
+                seen.add(task_id)
+        self._atomic = atomic
+
+    def _adopt(
+        self, task_ids: List[int], thresholds: List[float], name: str
+    ) -> None:
+        """Take ownership of validated, aligned id and threshold columns."""
+        if not task_ids:
             raise InvalidProblemError("a crowdsourcing task needs at least one atomic task")
-        seen = set()
-        for task in self._tasks:
-            if task.task_id in seen:
-                raise InvalidProblemError(
-                    f"duplicate atomic task id {task.task_id} in crowdsourcing task"
-                )
-            seen.add(task.task_id)
+        self._ids = task_ids
+        self._thresholds = thresholds
+        self.name = name
+        self._atomic: Optional[List[AtomicTask]] = None
+
+    @classmethod
+    def _from_columns(
+        cls, task_ids: List[int], thresholds: List[float], name: str
+    ) -> "CrowdsourcingTask":
+        task = cls.__new__(cls)
+        task._adopt(task_ids, thresholds, name)
+        return task
 
     # -- construction helpers -------------------------------------------------
 
@@ -101,10 +129,7 @@ class CrowdsourcingTask:
         if n <= 0:
             raise InvalidProblemError(f"n must be positive; got {n}")
         require_probability_open(threshold, "threshold")
-        return cls(
-            (AtomicTask(i, threshold) for i in range(n)),
-            name=name,
-        )
+        return cls._from_columns(list(range(n)), [threshold] * n, name)
 
     @classmethod
     def heterogeneous(
@@ -118,21 +143,31 @@ class CrowdsourcingTask:
         """
         if len(thresholds) == 0:
             raise InvalidProblemError("thresholds must not be empty")
-        return cls(
-            (AtomicTask(i, float(t)) for i, t in enumerate(thresholds)),
-            name=name,
-        )
+        values = [float(t) for t in thresholds]
+        # Each distinct value once, in first-seen order: the first bad
+        # threshold is the one reported, as when each task checked its own.
+        for value in dict.fromkeys(values):
+            require_probability_open(value, "threshold")
+        return cls._from_columns(list(range(len(values))), values, name)
 
     # -- sequence protocol ----------------------------------------------------
 
+    def _atomic_tasks(self) -> List[AtomicTask]:
+        if self._atomic is None:
+            self._atomic = [
+                AtomicTask(task_id, threshold)
+                for task_id, threshold in zip(self._ids, self._thresholds)
+            ]
+        return self._atomic
+
     def __len__(self) -> int:
-        return len(self._tasks)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[AtomicTask]:
-        return iter(self._tasks)
+        return iter(self._atomic_tasks())
 
     def __getitem__(self, index: int) -> AtomicTask:
-        return self._tasks[index]
+        return self._atomic_tasks()[index]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CrowdsourcingTask(name={self.name!r}, n={len(self)})"
@@ -142,28 +177,27 @@ class CrowdsourcingTask:
     @property
     def task_ids(self) -> List[int]:
         """The atomic task identifiers, in declaration order."""
-        return [task.task_id for task in self._tasks]
+        return list(self._ids)
 
     @property
     def thresholds(self) -> List[float]:
         """Reliability thresholds aligned with :attr:`task_ids`."""
-        return [task.threshold for task in self._tasks]
+        return list(self._thresholds)
 
     @property
     def is_homogeneous(self) -> bool:
         """Whether every atomic task shares the same reliability threshold."""
-        first = self._tasks[0].threshold
-        return all(task.threshold == first for task in self._tasks)
+        return self._thresholds.count(self._thresholds[0]) == len(self._thresholds)
 
     @property
     def max_threshold(self) -> float:
         """The largest reliability threshold among the atomic tasks."""
-        return max(task.threshold for task in self._tasks)
+        return max(self._thresholds)
 
     @property
     def min_threshold(self) -> float:
         """The smallest reliability threshold among the atomic tasks."""
-        return min(task.threshold for task in self._tasks)
+        return min(self._thresholds)
 
     @property
     def fingerprint(self) -> str:
@@ -176,8 +210,8 @@ class CrowdsourcingTask:
         return stable_digest(
             ("crowdsourcing_task",)
             + tuple(
-                f"{task.task_id}:{float_token(task.threshold)}"
-                for task in self._tasks
+                f"{task_id}:{token}"
+                for task_id, token in zip(self._ids, _float_tokens(self._thresholds))
             )
         )
 
@@ -189,20 +223,43 @@ class CrowdsourcingTask:
         KeyError
             If no atomic task has that identifier.
         """
-        for task in self._tasks:
-            if task.task_id == task_id:
-                return task
-        raise KeyError(f"no atomic task with id {task_id}")
+        try:
+            index = self._ids.index(task_id)
+        except ValueError:
+            raise KeyError(f"no atomic task with id {task_id}") from None
+        return self._atomic_tasks()[index]
 
     def subset(self, task_ids: Iterable[int], name: Optional[str] = None) -> "CrowdsourcingTask":
         """Return a new crowdsourcing task restricted to ``task_ids``.
 
         Used by the heterogeneous solver to carve the task set into threshold
-        groups (Algorithm 5, lines 5-7).
+        groups (Algorithm 5, lines 5-7).  The subset keeps this task's order
+        and, when it holds atomic tasks, those very objects (payloads
+        included).
         """
         wanted = set(task_ids)
-        subset = [task for task in self._tasks if task.task_id in wanted]
-        if len(subset) != len(wanted):
-            missing = wanted - {task.task_id for task in subset}
+        positions = [
+            index for index, task_id in enumerate(self._ids) if task_id in wanted
+        ]
+        if len(positions) != len(wanted):
+            missing = wanted - {self._ids[index] for index in positions}
             raise KeyError(f"unknown atomic task ids: {sorted(missing)}")
-        return CrowdsourcingTask(subset, name=name or f"{self.name}-subset")
+        name = name or f"{self.name}-subset"
+        if self._atomic is not None:
+            return CrowdsourcingTask(
+                [self._atomic[index] for index in positions], name=name
+            )
+        return CrowdsourcingTask._from_columns(
+            [self._ids[index] for index in positions],
+            [self._thresholds[index] for index in positions],
+            name,
+        )
+
+
+def _float_tokens(values: Sequence[float]) -> List[str]:
+    """:func:`float_token` of each value, computed once per distinct value."""
+    tokens = {value: float_token(value) for value in set(values)}
+    if 0.0 in tokens:
+        # 0.0 and -0.0 are one dictionary key but two different tokens.
+        return [float_token(value) for value in values]
+    return [tokens[value] for value in values]

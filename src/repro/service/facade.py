@@ -337,14 +337,12 @@ class SladeService:
         """Apply the configured threshold floor/cap, rebuilding if needed."""
         if not self.config.clamps_thresholds:
             return problem
-        clamped = [
-            self.config.clamp_threshold(atomic.threshold) for atomic in problem.task
-        ]
-        if clamped == [atomic.threshold for atomic in problem.task]:
+        clamp = self.config.clamp_threshold
+        if all(clamp(t) == t for t in set(problem.task.thresholds)):
             return problem
         tasks = [
-            AtomicTask(atomic.task_id, threshold, atomic.payload)
-            for atomic, threshold in zip(problem.task, clamped)
+            AtomicTask(atomic.task_id, clamp(atomic.threshold), atomic.payload)
+            for atomic in problem.task
         ]
         return SladeProblem(
             CrowdsourcingTask(tasks, name=problem.task.name),
@@ -363,7 +361,7 @@ class SladeService:
         problem here serves the request against the menu it sent.
         """
         try:
-            thresholds = sorted({atomic.threshold for atomic in problem.task})
+            thresholds = sorted(set(problem.task.thresholds))
             active = self.drift.register(problem.bins, thresholds)
             if active is problem.bins or active.fingerprint == problem.bins.fingerprint:
                 return problem

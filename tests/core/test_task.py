@@ -1,6 +1,7 @@
 """Tests for atomic tasks and large-scale crowdsourcing tasks."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -110,3 +111,107 @@ class TestCrowdsourcingTaskViews:
         task = CrowdsourcingTask.heterogeneous(thresholds)
         assert task.max_threshold == max(thresholds)
         assert task.min_threshold == min(thresholds)
+
+
+def atomic_tasks(task_ids, thresholds):
+    """The atomic tasks the constructors used to build one by one."""
+    return [AtomicTask(i, t) for i, t in zip(task_ids, thresholds)]
+
+
+def error_of(call):
+    """``(type, message)`` of the exception ``call`` raises."""
+    with pytest.raises(Exception) as caught:
+        call()
+    return type(caught.value), str(caught.value)
+
+
+class TestColumnBackedTask:
+    """The column-backed builders behave like a list of atomic tasks."""
+
+    def test_homogeneous_iterates_as_atomic_tasks(self):
+        task = CrowdsourcingTask.homogeneous(5, 0.9)
+        assert list(task) == atomic_tasks(range(5), [0.9] * 5)
+
+    def test_heterogeneous_iterates_as_atomic_tasks(self):
+        task = CrowdsourcingTask.heterogeneous([0.8, 0.95, 0.8])
+        assert list(task) == atomic_tasks(range(3), [0.8, 0.95, 0.8])
+        assert all(type(t) is float for t in task.thresholds)
+
+    def test_negative_indexing(self):
+        task = CrowdsourcingTask.heterogeneous([0.8, 0.9, 0.7])
+        assert task[-1] == AtomicTask(2, 0.7)
+        assert task[-3] == AtomicTask(0, 0.8)
+        with pytest.raises(IndexError):
+            task[3]
+
+    def test_atomic_tasks_are_built_once(self):
+        task = CrowdsourcingTask.homogeneous(3, 0.9)
+        assert task[0] is task[0]
+        assert next(iter(task)) is task.by_id(0)
+
+    def test_by_id(self):
+        task = CrowdsourcingTask.heterogeneous([0.8, 0.9])
+        assert task.by_id(1) == AtomicTask(1, 0.9)
+        with pytest.raises(KeyError, match="no atomic task with id 2"):
+            task.by_id(2)
+
+    def test_subset_keeps_order_and_columns(self):
+        task = CrowdsourcingTask.heterogeneous([0.8, 0.9, 0.95, 0.7], name="t")
+        subset = task.subset([3, 1])
+        assert subset.task_ids == [1, 3]
+        assert subset.thresholds == [0.9, 0.7]
+        assert subset.name == "t-subset"
+        assert list(subset) == atomic_tasks([1, 3], [0.9, 0.7])
+
+    def test_views_are_copies(self):
+        task = CrowdsourcingTask.homogeneous(3, 0.9)
+        task.task_ids.append(99)
+        task.thresholds[0] = 0.1
+        assert task.task_ids == [0, 1, 2]
+        assert task.thresholds == [0.9] * 3
+
+    def test_duplicate_id_error_is_unchanged(self):
+        assert error_of(
+            lambda: CrowdsourcingTask([AtomicTask(4, 0.9), AtomicTask(2, 0.9),
+                                       AtomicTask(4, 0.8), AtomicTask(2, 0.8)])
+        ) == (InvalidProblemError, "duplicate atomic task id 4 in crowdsourcing task")
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, -0.1, float("nan")])
+    def test_bad_threshold_errors_match_the_atomic_task(self, bad):
+        expected = error_of(lambda: AtomicTask(0, bad))
+        assert expected[0] is ValueError
+        assert error_of(lambda: CrowdsourcingTask.homogeneous(4, bad)) == expected
+        assert error_of(
+            lambda: CrowdsourcingTask.heterogeneous([0.9, bad, 0.5, bad])
+        ) == expected
+
+    def test_first_bad_threshold_is_reported(self):
+        assert error_of(
+            lambda: CrowdsourcingTask.heterogeneous([0.9, 1.5, 2.0])
+        ) == error_of(lambda: AtomicTask(1, 1.5))
+
+    def test_general_constructor_keeps_atomic_tasks_and_payloads(self):
+        given = [AtomicTask(7, 0.9, {"truth": True}), AtomicTask(3, 0.8, {"truth": False})]
+        task = CrowdsourcingTask(given)
+        assert task[0] is given[0]
+        assert task.by_id(3).payload == {"truth": False}
+        assert task.task_ids == [7, 3]
+        assert task.thresholds == [0.9, 0.8]
+        subset = task.subset([3])
+        assert subset[0] is given[1]
+
+    @pytest.mark.parametrize("make", [
+        lambda: CrowdsourcingTask.homogeneous(4, 0.9, name="h"),
+        lambda: CrowdsourcingTask.heterogeneous([0.8, 0.9], name="x"),
+        lambda: CrowdsourcingTask([AtomicTask(5, 0.9, {"truth": True})], name="a"),
+    ])
+    def test_pickle_round_trip(self, make):
+        task = make()
+        fingerprint = task.fingerprint
+        restored = pickle.loads(pickle.dumps(task))
+        assert restored.name == task.name
+        assert restored.task_ids == task.task_ids
+        assert restored.thresholds == task.thresholds
+        assert restored.fingerprint == fingerprint
+        assert list(restored) == list(task)
+        assert [dict(t.payload) for t in restored] == [dict(t.payload) for t in task]

@@ -52,15 +52,28 @@ def inline_request(n=50, threshold=0.9, **extra):
     return payload
 
 
-#: A solve that holds the worker executor for roughly a second (cover cost
-#: grows superlinearly in n), used by liveness/drain tests.
-SLOW_REQUEST = {
-    "kind": "solve_request",
-    "version": 1,
-    "n": 100_000,
-    "threshold": 0.95,
-    "bins": [[l, 0.78 + 0.006 * l, 0.08 + 0.02 * l] for l in range(1, 11)],
-}
+def hold_solves(handle, release):
+    """Hold each solve batch of ``handle``'s server until ``release`` is set.
+
+    The batch spins inside the worker executor, holding the GIL between
+    checks of ``release`` as a CPU-bound solve would, so the liveness,
+    capacity and drain tests act while such a request is in flight by
+    construction, not by betting on how long some large solve takes.
+    Returns an event that is set once a batch is being held.
+    """
+    service = handle.server.service.service
+    solve_batch = service.solve_batch
+    held = threading.Event()
+
+    def hold(requests):
+        held.set()
+        deadline = time.monotonic() + 60
+        while not release.wait(0.001) and time.monotonic() < deadline:
+            sum(range(100_000))  # a few ms of pure-Python work per check
+        return solve_batch(requests)
+
+    service.solve_batch = hold
+    return held
 
 
 class ServerHandle:
@@ -69,6 +82,8 @@ class ServerHandle:
     def __init__(self, **server_kwargs) -> None:
         self._server_kwargs = server_kwargs
         self._ready = threading.Event()
+        #: Set on the event loop just before ``server.close()`` starts.
+        self.closing = threading.Event()
         self._stop: "asyncio.Event" = None
         self._loop: "asyncio.AbstractEventLoop" = None
         self._error: BaseException = None
@@ -89,6 +104,10 @@ class ServerHandle:
         await self.server.start("127.0.0.1", 0)
         self._ready.set()
         await self._stop.wait()
+        # close() runs to its first await before the loop can deliver a
+        # held solve's result, so a solve released by this event finishes
+        # while the server drains.
+        self.closing.set()
         await self.server.close()
 
     def __enter__(self) -> "ServerHandle":
@@ -405,6 +424,8 @@ class TestAdmissionOverHttp:
     def test_global_capacity_is_503(self):
         admission = AdmissionController(max_total_inflight=1)
         with ServerHandle(admission=admission) as handle:
+            release = threading.Event()
+            held = hold_solves(handle, release)
             started = threading.Event()
             slow_reply = {}
 
@@ -412,18 +433,21 @@ class TestAdmissionOverHttp:
                 client = handle.client(tenant="slow")
                 started.set()
                 slow_reply["reply"] = client.solve(
-                    SLOW_REQUEST, include_plan=False
+                    inline_request(), include_plan=False
                 )
 
             thread = threading.Thread(target=slow)
             thread.start()
             started.wait()
-            time.sleep(0.3)  # let the slow request enter the executor
-            rejected = handle.client(tenant="other").solve(
-                inline_request(n=25), include_plan=False
-            )
-            assert rejected.status == 503
-            assert rejected.payload["error"]["type"] == "OverloadedError"
+            try:
+                assert held.wait(timeout=10)  # the slow request is in the executor
+                rejected = handle.client(tenant="other").solve(
+                    inline_request(n=25), include_plan=False
+                )
+                assert rejected.status == 503
+                assert rejected.payload["error"]["type"] == "OverloadedError"
+            finally:
+                release.set()
             thread.join(timeout=60)
             assert slow_reply["reply"].status == 200
             assert slow_reply["reply"].payload["ok"] is True
@@ -432,41 +456,48 @@ class TestAdmissionOverHttp:
 class TestLivenessAndShutdown:
     def test_healthz_stays_responsive_during_long_solve(self):
         with ServerHandle() as handle:
+            release = threading.Event()
+            held = hold_solves(handle, release)
             started = threading.Event()
             slow_reply = {}
 
             def slow() -> None:
                 client = handle.client()
                 started.set()
-                slow_reply["reply"] = client.solve(SLOW_REQUEST, include_plan=False)
+                slow_reply["reply"] = client.solve(inline_request(), include_plan=False)
 
             thread = threading.Thread(target=slow)
             thread.start()
             started.wait()
-            time.sleep(0.2)  # ensure the solve occupies the executor
-            t0 = time.perf_counter()
-            health = handle.client().healthz()
-            latency = time.perf_counter() - t0
-            assert health.status == 200
-            assert health.payload["status"] == "ok"
-            assert latency < 1.0, f"healthz took {latency:.2f}s during a solve"
+            try:
+                assert held.wait(timeout=10)  # the solve occupies the executor
+                t0 = time.perf_counter()
+                health = handle.client().healthz()
+                latency = time.perf_counter() - t0
+                assert health.status == 200
+                assert health.payload["status"] == "ok"
+                assert latency < 1.0, f"healthz took {latency:.2f}s during a solve"
+            finally:
+                release.set()
             thread.join(timeout=60)
             assert slow_reply["reply"].payload["ok"] is True
 
     def test_close_drains_inflight_requests(self):
         with ServerHandle() as handle:
+            # The held solve finishes only once the server is closing.
+            held = hold_solves(handle, handle.closing)
             started = threading.Event()
             outcome = {}
 
             def inflight() -> None:
                 client = handle.client()
                 started.set()
-                outcome["reply"] = client.solve(SLOW_REQUEST, include_plan=False)
+                outcome["reply"] = client.solve(inline_request(), include_plan=False)
 
             thread = threading.Thread(target=inflight)
             thread.start()
             started.wait()
-            time.sleep(0.3)  # the request is being solved when we close
+            assert held.wait(timeout=10)  # the request is being solved when we close
             handle.stop()
             thread.join(timeout=60)
             assert outcome["reply"].status == 200
