@@ -30,7 +30,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 RUN = REPO_ROOT / "perfbench" / "run.py"
@@ -69,12 +69,13 @@ def violations(parent: dict, change: dict) -> List[str]:
     return found
 
 
-def run(workload: str, cwd: Path) -> Optional[dict]:
-    """One perfbench run from ``cwd``; its result line, or ``None``."""
+def run(workload: str, cwd: Path, args: Sequence[str] = RUN_ARGS) -> Optional[dict]:
+    """One perfbench run from ``cwd`` with ``args`` after the workload; its
+    result line, or ``None``."""
     print(f"--- {workload} from {cwd}", flush=True)
     try:
         completed = subprocess.run(
-            [sys.executable, str(RUN), "--workload", workload, *RUN_ARGS],
+            [sys.executable, str(RUN), "--workload", workload, *args],
             cwd=cwd, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:

@@ -411,8 +411,9 @@ class OPQSolver(Solver):
             self.record("opq_nodes", getattr(queue, "stats", {}).get("nodes"))
 
         plan = DecompositionPlan(solver=self.name)
-        # Blocks are cut from the id list by offset: ``task_ids[start:]`` is
-        # the pending tail, so each block costs its own length, not n's.
+        # Each head application is one block run over ``task_ids[start:end]``
+        # (see DecompositionPlan.add_run); no posting is built until a caller
+        # iterates the plan.
         task_ids = problem.task.task_ids
         start = 0
         elements = queue.elements()
@@ -442,7 +443,7 @@ class OPQSolver(Solver):
                 fallback = previous
                 if fallback is None:
                     fallback = min(queue.elements(), key=lambda comb: comb.block_cost)
-                self._assign_block(plan, fallback, task_ids[start:])
+                plan.add_run(fallback, task_ids[start:])
                 break
 
             head = elements[0]
@@ -453,25 +454,15 @@ class OPQSolver(Solver):
                 # Covering the remainder with several head blocks would cost
                 # more than one extra application of the previous combination,
                 # so reuse the previous one (Algorithm 3, lines 7-10).
-                self._assign_block(plan, previous, task_ids[start:])
+                plan.add_run(previous, task_ids[start:])
                 break
 
-            for _block in range(blocks):
-                self._assign_block(plan, head, task_ids[start:start + head.lcm])
-                start += head.lcm
+            end = start + blocks * head.lcm
+            plan.add_run(head, task_ids[start:end], blocks)
+            start = end
 
             previous = head
             previous_block_cost = head.block_cost
 
         self.record("iterations", iterations)
         return plan
-
-    @staticmethod
-    def _assign_block(
-        plan: DecompositionPlan,
-        combination: Combination,
-        task_ids: Sequence[int],
-    ) -> None:
-        """Materialise one (possibly partial) block of a combination."""
-        for task_bin, members in combination.postings_for_block(task_ids):
-            plan.add(task_bin, members)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Set
 
 from repro.core.errors import InvalidProblemError
-from repro.utils.hashing import float_token, stable_digest
+from repro.utils.hashing import DIGEST_LENGTH, float_token, stable_digest, stable_hasher
 from repro.utils.logmath import residual_from_reliability
 from repro.utils.validation import require_probability_open
 
@@ -95,7 +95,7 @@ class CrowdsourcingTask:
         self._atomic = atomic
 
     def _adopt(
-        self, task_ids: List[int], thresholds: List[float], name: str
+        self, task_ids: Sequence[int], thresholds: List[float], name: str
     ) -> None:
         """Take ownership of validated, aligned id and threshold columns."""
         if not task_ids:
@@ -107,7 +107,7 @@ class CrowdsourcingTask:
 
     @classmethod
     def _from_columns(
-        cls, task_ids: List[int], thresholds: List[float], name: str
+        cls, task_ids: Sequence[int], thresholds: List[float], name: str
     ) -> "CrowdsourcingTask":
         task = cls.__new__(cls)
         task._adopt(task_ids, thresholds, name)
@@ -129,7 +129,7 @@ class CrowdsourcingTask:
         if n <= 0:
             raise InvalidProblemError(f"n must be positive; got {n}")
         require_probability_open(threshold, "threshold")
-        return cls._from_columns(list(range(n)), [threshold] * n, name)
+        return cls._from_columns(range(n), [threshold] * n, name)
 
     @classmethod
     def heterogeneous(
@@ -207,13 +207,32 @@ class CrowdsourcingTask:
         algorithms never read them, so two tasks with the same ids and
         thresholds are interchangeable for planning purposes.
         """
-        return stable_digest(
-            ("crowdsourcing_task",)
-            + tuple(
-                f"{task_id}:{token}"
-                for task_id, token in zip(self._ids, _float_tokens(self._thresholds))
+        common = self._common_token()
+        if common is None:
+            return stable_digest(
+                ("crowdsourcing_task",)
+                + tuple(
+                    f"{task_id}:{token}"
+                    for task_id, token in zip(self._ids, _float_tokens(self._thresholds))
+                )
             )
-        )
+        hasher = stable_hasher(("crowdsourcing_task",))
+        for chunk in _range_parts(len(self._ids), common):
+            hasher.update(chunk.encode("ascii"))
+        return hasher.hexdigest()[:DIGEST_LENGTH]
+
+    def _common_token(self) -> Optional[str]:
+        """The :func:`float_token` of every threshold when the ids are
+        ``0..n-1`` (the homogeneous builder's range) and all thresholds share
+        one token; ``None`` otherwise."""
+        if self._ids != range(len(self._ids)):
+            return None
+        first = self._thresholds[0]
+        # Equal non-zero floats are bit-identical, hence share a token; but
+        # 0.0 == -0.0 with different tokens, so zeros take the general path.
+        if first == 0.0 or self._thresholds.count(first) != len(self._thresholds):
+            return None
+        return float_token(first)
 
     def by_id(self, task_id: int) -> AtomicTask:
         """Return the atomic task with the given identifier.
@@ -254,6 +273,35 @@ class CrowdsourcingTask:
             [self._thresholds[index] for index in positions],
             name,
         )
+
+
+#: ``000`` to ``999``: the ids of one thousand-block of ids are its prefix
+#: followed by each of these.
+_SUFFIXES = tuple(f"{suffix:03d}" for suffix in range(1000))
+
+
+def _range_parts(n: int, token: str) -> Iterator[str]:
+    """The length-prefixed parts ``f"{id}:{token}"`` of ids ``0..n-1``, as
+    :func:`~repro.utils.hashing.stable_digest` writes them, a block at a time.
+
+    Within a block every id has the same number of digits, so every part has
+    the same length and the block is one join, with no per-task string: a
+    full thousand-block joins the shared suffixes under its prefix, and the
+    rest (ids below 1000 and the last partial thousand) joins the ids.
+    """
+    low = 0
+    while low < n:
+        digits = len(str(low))
+        length = digits + 1 + len(token)
+        if digits > 3 and low + 1000 <= n:
+            prefix = f"{length}:{low // 1000}"
+            yield prefix + f":{token}{prefix}".join(_SUFFIXES) + f":{token}"
+            low += 1000
+        else:
+            high = min(10 ** digits, n, low - low % 1000 + 1000)
+            yield (f"{length}:" + f":{token}{length}:".join(map(str, range(low, high)))
+                   + f":{token}")
+            low = high
 
 
 def _float_tokens(values: Sequence[float]) -> List[str]:

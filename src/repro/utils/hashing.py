@@ -24,11 +24,11 @@ def float_token(value: float) -> str:
     return float(value).hex()
 
 
-def stable_digest(parts: Iterable[str]) -> str:
-    """Digest an ordered sequence of string tokens into a short hex key.
+def stable_hasher(parts: Iterable[str]) -> "hashlib._Hash":
+    """A sha256 hasher fed ``parts`` as :func:`stable_digest` feeds them.
 
-    Tokens are length-prefixed before hashing so no two distinct sequences
-    can concatenate to the same byte stream.
+    For callers that append the rest of the length-prefixed stream
+    themselves, in bulk.
     """
     hasher = hashlib.sha256()
     for part in parts:
@@ -36,4 +36,13 @@ def stable_digest(parts: Iterable[str]) -> str:
         hasher.update(str(len(encoded)).encode("ascii"))
         hasher.update(b":")
         hasher.update(encoded)
-    return hasher.hexdigest()[:DIGEST_LENGTH]
+    return hasher
+
+
+def stable_digest(parts: Iterable[str]) -> str:
+    """Digest an ordered sequence of string tokens into a short hex key.
+
+    Tokens are length-prefixed before hashing so no two distinct sequences
+    can concatenate to the same byte stream.
+    """
+    return stable_hasher(parts).hexdigest()[:DIGEST_LENGTH]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.bins import TaskBin
 from repro.core.errors import InfeasiblePlanError, InvalidBinError
 from repro.core.plan import BinAssignment, DecompositionPlan
 from repro.core.task import CrowdsourcingTask
@@ -59,6 +60,13 @@ class TestPlanCostAccounting:
         plan.add(table1_bins[2], (0, 1))
         plan.add(table1_bins[2], (2, 3))
         assert plan.cost_per_task(task) == pytest.approx(0.36 / 4)
+
+    def test_total_cost_adds_left_to_right_on_every_interpreter(self):
+        # The builtin sum is compensated from Python 3.12 on and reads 1.0.
+        plan = DecompositionPlan()
+        for task_id in range(10):
+            plan.add(TaskBin(1, 0.9, 0.1), (task_id,))
+        assert plan.total_cost == 0.9999999999999999
 
     def test_extend_merges_assignments(self, table1_bins):
         first = DecompositionPlan()

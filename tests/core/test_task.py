@@ -1,5 +1,6 @@
 """Tests for atomic tasks and large-scale crowdsourcing tasks."""
 
+import hashlib
 import math
 import pickle
 
@@ -215,3 +216,51 @@ class TestColumnBackedTask:
         assert restored.fingerprint == fingerprint
         assert list(restored) == list(task)
         assert [dict(t.payload) for t in restored] == [dict(t.payload) for t in task]
+
+
+class TestHomogeneousFingerprint:
+    """The homogeneous builder hashes its ids a block at a time; the digest
+    must be the per-task token stream's, byte for byte."""
+
+    @staticmethod
+    def per_task_digest(n, threshold):
+        hasher = hashlib.sha256()
+        for token in ["crowdsourcing_task"] + [
+            f"{task_id}:{float(threshold).hex()}" for task_id in range(n)
+        ]:
+            hasher.update(f"{len(token)}:{token}".encode("ascii"))
+        return hasher.hexdigest()[:16]
+
+    @pytest.mark.parametrize("n", [
+        1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1999, 2000, 2001,
+        9999, 10_000, 10_001, 12_345,
+    ])
+    @pytest.mark.parametrize("threshold", [0.9, 0.95, 1e-300, 0.0, -0.0])
+    def test_band_digest_equals_the_per_task_stream(self, n, threshold):
+        task = CrowdsourcingTask.homogeneous(n, threshold)
+        expected = self.per_task_digest(n, threshold)
+        assert task.fingerprint == expected
+        general = CrowdsourcingTask([AtomicTask(i, threshold) for i in range(n)])
+        assert general.fingerprint == expected
+
+    @pytest.mark.parametrize("n", [100_000, 100_999])
+    def test_six_digit_ids(self, n):
+        task = CrowdsourcingTask.homogeneous(n, 0.9)
+        assert task.fingerprint == self.per_task_digest(n, 0.9)
+
+    def test_signed_zero_thresholds_keep_their_tokens(self):
+        # 0.0 == -0.0, but their tokens differ: equal values are not enough.
+        mixed = CrowdsourcingTask._from_columns(range(3), [0.0, -0.0, 0.0], "task")
+        assert mixed.fingerprint != CrowdsourcingTask.homogeneous(3, 0.0).fingerprint
+        assert mixed.fingerprint == CrowdsourcingTask.heterogeneous(
+            [0.0, -0.0, 0.0]).fingerprint
+
+    def test_ids_stay_a_range_and_task_ids_a_new_list(self):
+        task = CrowdsourcingTask.homogeneous(5, 0.9)
+        assert task._ids == range(5)
+        ids = task.task_ids
+        assert ids == [0, 1, 2, 3, 4] and type(ids) is list
+        ids.append(5)
+        assert task.task_ids == [0, 1, 2, 3, 4]
+        assert task.by_id(3).task_id == 3
+        assert task.subset([4, 1]).task_ids == [1, 4]

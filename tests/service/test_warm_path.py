@@ -4,12 +4,13 @@ A warm request finds its queues in the plan cache, so what is left is
 parsing, Algorithm 3, one feasibility pass and the response.  These tests
 count the per-task objects and passes that used to make that path
 quadratic in n (see ``DecompositionPlan.unsatisfied_tasks`` and
-``CrowdsourcingTask``).
+``CrowdsourcingTask``), and the postings Algorithm 3's block runs no
+longer build unless the response carries the plan body.
 """
 
 import pytest
 
-from repro.core.plan import DecompositionPlan
+from repro.core.plan import BinAssignment, DecompositionPlan
 from repro.core.task import AtomicTask
 from repro.datasets.jelly import jelly_bin_set
 from repro.io.serialization import solve_response_to_dict
@@ -63,6 +64,7 @@ def serve_warm(payload_for, n, counts):
     assert body["ok"] is True
     assert body["cache"] == "hit"
     assert body["feasible"] is True
+    return response
 
 
 def test_warm_homogeneous_request_builds_no_atomic_task(counts):
@@ -73,3 +75,35 @@ def test_warm_homogeneous_request_builds_no_atomic_task(counts):
 def test_warm_heterogeneous_request_builds_no_atomic_task(counts):
     serve_warm(heterogeneous_payload, 5_000, counts)
     assert counts == {"atomic_tasks": 0, "unsatisfied_tasks": 1}
+
+
+@pytest.fixture
+def postings(monkeypatch):
+    """Every BinAssignment built, in order."""
+    built = []
+    post_init = BinAssignment.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(BinAssignment, "__post_init__", counting_post_init)
+    return built
+
+
+def test_warm_homogeneous_request_builds_no_posting(counts, postings):
+    response = serve_warm(homogeneous_payload, 30_000, counts)
+    # The parent built all 3000 here, one per posting of the plan.
+    assert postings == []
+    assert len(response.plan) == 3000
+
+
+def test_plan_body_expands_each_posting_once(counts, postings):
+    response = serve_warm(homogeneous_payload, 30_000, counts)
+    assert postings == []
+    body = solve_response_to_dict(response, include_plan=True)
+    assert len(postings) == len(response.plan) == 3000
+    assert [
+        (entry["cardinality"], tuple(entry["task_ids"]))
+        for entry in body["plan"]["assignments"]
+    ] == [(posting.task_bin.cardinality, posting.task_ids) for posting in postings]
