@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -139,8 +140,8 @@ def test_cold_build_profile_breakdown():
 
     Informational (no timing assertion — profiling overhead would make one
     meaningless), but it pins the structural claim behind the Combination
-    quantity-caching fix: the quantities are computed once per node in
-    ``from_counts``/``_cache_quantities``, so the ``residual``/``unit_cost``
+    quantity-caching fix: the quantities are computed once per node, in
+    ``Combination.__post_init__``, so the ``residual``/``unit_cost``
     property accessors must no longer appear as hot rows of their own.
     """
     import cProfile
@@ -162,12 +163,14 @@ def test_cold_build_profile_breakdown():
 
     stats = pstats.Stats(profiler)
     # (file, line, name) -> (ncalls, primitive, tottime, cumtime, callers)
-    per_function = {key[2]: value for key, value in stats.stats.items()}
-    assert "_cache_quantities" in per_function, (
+    per_function = {
+        (Path(key[0]).name, key[2]): value for key, value in stats.stats.items()
+    }
+    assert ("opq.py", "__post_init__") in per_function, (
         "quantity caching no longer runs during enumeration — did "
-        "from_counts stop precomputing?"
+        "Combination stop precomputing?"
     )
-    calls = per_function["_cache_quantities"][0]
+    calls = per_function[("opq.py", "__post_init__")][0]
     nodes = sum(
         build_optimal_priority_queue(bins, threshold).stats["nodes"]
         for _name, bins, threshold in GRID
@@ -176,7 +179,7 @@ def test_cold_build_profile_breakdown():
     # frontier-insert copies; anything superlinear means recomputation crept
     # back in.
     assert calls <= nodes * 3, (
-        f"_cache_quantities ran {calls} times for {nodes} enumerated nodes; "
+        f"Combination.__post_init__ ran {calls} times for {nodes} enumerated nodes; "
         "quantities are being recomputed instead of cached"
     )
 

@@ -4,9 +4,9 @@ sharded ring's warm hits (including reads failing over past a dead shard).
 
 Three claims from the networked-cache PRs are quantified here:
 
-(a) a *warm remote hit* — one round trip to a ``repro cached`` server plus an
-    unpickle — is far cheaper than a cold OPQ build for a realistic menu, so
-    joining a warm fleet beats starting cold by a wide margin;
+(a) a *warm remote hit* — one round trip to a ``repro cached`` server plus a
+    record decode — is far cheaper than a cold OPQ build for a realistic
+    menu, so joining a warm fleet beats starting cold by a wide margin;
 
 (b) in the tiered backend, a promoted (local) hit is cheaper again than a
     remote hit, which is the whole point of keeping a near tier: hot
@@ -148,7 +148,7 @@ def test_tiered_local_hits_beat_remote_hits():
         local_advantage=split,
         iterations=HIT_ITERATIONS,
     )
-    # An in-process dict lookup must beat a TCP round trip + unpickle.
+    # An in-process dict lookup must beat a TCP round trip + record decode.
     assert local_hit_seconds < remote_hit_seconds
 
 

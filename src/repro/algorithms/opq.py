@@ -57,16 +57,11 @@ class Combination:
         items = tuple(sorted((l, c) for l, c in counts.items() if c > 0))
         if not items:
             raise InvalidProblemError("a combination must use at least one task bin")
-        for cardinality, _count in items:
-            if cardinality not in bins:
-                raise KeyError(f"bin set has no cardinality {cardinality}")
-        combination = cls(items, bins)
-        combination._cache_quantities()
-        return combination
+        return cls(items, bins)
 
     # -- core quantities -------------------------------------------------------
 
-    def _cache_quantities(self) -> None:
+    def __post_init__(self) -> None:
         """Precompute the hot quantities once, at construction.
 
         ``insert``/``dominates`` read ``lcm`` and ``unit_cost`` for every
@@ -84,15 +79,6 @@ class Combination:
         object.__setattr__(self, "_lcm", lcm)
         object.__setattr__(self, "_unit_cost", unit_cost)
         object.__setattr__(self, "_residual", residual)
-
-    def __getattr__(self, name: str):
-        # Combinations built by the bare constructor, or unpickled from cache
-        # payloads written before the cached quantities existed, lack the
-        # precomputed attributes; materialise them on first touch.
-        if name in ("_lcm", "_unit_cost", "_residual"):
-            self._cache_quantities()
-            return object.__getattribute__(self, name)
-        raise AttributeError(name)
 
     @property
     def lcm(self) -> int:
@@ -408,7 +394,7 @@ class OPQSolver(Solver):
                 problem.bins, problem.homogeneous_threshold
             )
             self.record("opq_size", len(queue))
-            self.record("opq_nodes", getattr(queue, "stats", {}).get("nodes"))
+            self.record("opq_nodes", queue.stats.get("nodes"))
 
         plan = DecompositionPlan(solver=self.name)
         # Each head application is one block run over ``task_ids[start:end]``

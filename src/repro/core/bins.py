@@ -119,13 +119,6 @@ class TaskBinSet:
         if not self._by_cardinality:
             raise InvalidBinError("a task bin set needs at least one bin")
 
-    def __getstate__(self) -> Dict[str, object]:
-        # Cached queues pickle their menu; leaving the memo out keeps those
-        # payloads byte-identical whether or not the fingerprint was read.
-        state = dict(self.__dict__)
-        state.pop("_fingerprint", None)
-        return state
-
     # -- construction helpers -------------------------------------------------
 
     @classmethod

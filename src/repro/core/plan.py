@@ -400,5 +400,5 @@ class DecompositionPlan:
             reliabilities = self.reliabilities()
             covered = [reliabilities.get(task_id, 0.0) for task_id in task.task_ids]
             info["min_reliability"] = min(covered)
-            info["mean_reliability"] = sum(covered) / len(covered)
+            info["mean_reliability"] = reduce(operator.add, covered, 0.0) / len(covered)
         return info

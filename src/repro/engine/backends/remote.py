@@ -14,7 +14,7 @@ Design rules, in priority order:
    counter (``remote_cache.fail_open`` / ``remote_cache.corrupt_payloads``)
    so operators see the fleet going cold before users feel it.
 2. **Validate on read.**  Payloads are checksummed at the frame layer and
-   type-checked after unpickling; a corrupt entry is deleted from the server
+   decoded against the key they were read under; a corrupt entry is deleted
    (best effort) so one bad blob cannot poison every host's rebuild forever.
 3. **No in-process memoisation.**  The backend is pure shared storage — every
    ``get`` is a real round trip.  Layer a
@@ -164,7 +164,7 @@ class RemoteBackend:
         self.evictions = 0
         #: Round trips that degraded to a miss (server down/slow/desynced).
         self.fail_opens = 0
-        #: Payloads that framed correctly but did not unpickle into a queue.
+        #: Payloads that framed correctly but did not decode into a queue.
         self.corrupt_payloads = 0
         self.remote_hits = 0
         self.remote_misses = 0
@@ -270,7 +270,7 @@ class RemoteBackend:
             self._count_fail_open()
             return None, False
         try:
-            queue = decode_queue(reply.payload)
+            queue = decode_queue(reply.payload, key)
         except WirePayloadError:
             self.corrupt_payloads += 1
             self._count("remote_cache.corrupt_payloads")

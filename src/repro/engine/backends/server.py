@@ -8,7 +8,7 @@ speaking the length-prefixed protocol of
 :mod:`repro.engine.backends.wire` (GET/PUT/DELETE/CONTAINS/CLEAR/STATS/PING).
 
 The server is deliberately dumb — it stores opaque byte payloads under opaque
-byte keys and never unpickles anything, so a hostile or corrupt payload can
+byte keys and never decodes anything, so a hostile or corrupt payload can
 harm only the client that stored it (clients validate on read and fail open).
 Values are immutable by construction (a queue is a deterministic function of
 its key), so concurrent PUTs can only race to store equivalent bytes and
@@ -23,7 +23,7 @@ in-memory store is backed by a
 :class:`~repro.engine.backends.sqlite.SQLiteBackend` through its raw-payload
 API: every PUT/DELETE/CLEAR/eviction writes through, and a restarting server
 reloads its keys (in LRU order) before accepting connections — the fleet's
-warmth survives the restart.  The server still never unpickles anything; it
+warmth survives the restart.  The server still never decodes anything; it
 moves the clients' opaque blobs in and out of the same SQLite schema the
 ``sqlite:<path>`` backend uses, so either side can read a file the other
 wrote.  Persistence is fail-open like everything else: a failing disk write
@@ -67,7 +67,7 @@ from repro.engine.backends.wire import (
 
 
 class CacheServer:
-    """An asyncio TCP key-value store for pickled plan queues.
+    """An asyncio TCP key-value store for encoded plan queues.
 
     Parameters
     ----------

@@ -1,26 +1,26 @@
-"""Persistent cache storage: queues pickled into a SQLite file.
+"""Persistent cache storage: queue records in a SQLite file.
 
 A long-lived worker fleet restarts, redeploys, and scales horizontally; an
 in-memory plan cache starts cold every time.  :class:`SQLiteBackend` stores
-each optimal priority queue as a pickled blob keyed by the stable
+each optimal priority queue as a record blob keyed by the stable
 ``(bin-set fingerprint, threshold token)`` pair of
 :mod:`repro.engine.fingerprint`, so a second process — or the same process
 after a restart — opens the file and serves its first requests as cache hits.
 
 Queues are deterministic functions of their key, so concurrent writers can
 only ever race to store equivalent values; ``INSERT OR IGNORE`` plus SQLite's
-own file locking make the race harmless.  Within a process, unpickled queues
+own file locking make the race harmless.  Within a process, decoded queues
 are memoised so repeated hits return the same object without re-reading the
 blob (matching :class:`~repro.engine.backends.memory.MemoryBackend`'s
 by-reference semantics on the hot path).  Storage calls serialise on an
 internal lock, so the plan cache's concurrent per-key leaders (and the
 ``repro cached --persist`` server loop) can share one instance safely.
 
-Blobs use the same pinned cross-host pickle codec as the networked backend
-(:func:`repro.engine.backends.wire.encode_queue`), so a SQLite file on shared
-storage is readable by every interpreter in a mixed-version fleet.  The
-*raw-payload* methods (:meth:`put_payload` / :meth:`payloads` /
-:meth:`delete`) move those same blobs without unpickling them — the
+Blobs use the same queue record codec as the networked backend
+(:func:`repro.engine.backends.wire.encode_queue`); a row in any other format
+is a miss, purged and rebuilt.  The *raw-payload* methods (:meth:`put_payload`
+/ :meth:`payloads` / :meth:`delete`) move those same blobs without decoding
+them — the
 ``repro cached --persist`` server stores client payloads through this API,
 which means a ``--persist`` file and a ``sqlite:<path>`` backend file are
 the same format: warmth written by either is readable by both.
@@ -100,7 +100,7 @@ class SQLiteBackend:
             if row is None:
                 return None
             try:
-                queue = decode_queue(row[0])
+                queue = decode_queue(row[0], key)
             except WirePayloadError:
                 # An undecodable row would fail every request for its key in
                 # every process sharing the file; purge it so the next build
@@ -142,7 +142,7 @@ class SQLiteBackend:
     # -- raw payload access (the cache server's persistence path) --------------
 
     def put_payload(self, key: OPQKey, payload: bytes) -> None:
-        """Store an already-encoded queue blob without unpickling it.
+        """Store an already-encoded queue blob without decoding it.
 
         The ``repro cached --persist`` server is deliberately ignorant of
         payload contents (a hostile blob must harm only the client that

@@ -1,7 +1,7 @@
 """Tiered cache storage: an in-process LRU in front of shared storage.
 
 A bare :class:`~repro.engine.backends.remote.RemoteBackend` pays a network
-round trip (plus an unpickle) on *every* hit, and a bare
+round trip (plus a record decode) on *every* hit, and a bare
 :class:`~repro.engine.backends.sqlite.SQLiteBackend` pays file I/O across
 processes.  :class:`TieredBackend` keeps both honest: a near tier (a
 :class:`~repro.engine.backends.memory.MemoryBackend`, optionally LRU-bounded)

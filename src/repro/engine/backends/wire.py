@@ -20,29 +20,30 @@ sides treat any violation as :class:`WireProtocolError` — the server answers
 an ``ERROR`` reply and drops the connection (its framing is unrecoverable),
 the client fails open and solves locally.
 
-The module also owns the *payload* codec: queues travel as pickles pinned to
-:data:`QUEUE_PICKLE_PROTOCOL` so every host in a fleet — regardless of its
-interpreter's ``pickle.HIGHEST_PROTOCOL`` — produces blobs every other host
-can read.  :func:`decode_queue` validates the unpickled type, so a corrupt or
-hostile payload surfaces as :class:`WirePayloadError`, never as a wrong plan.
+The module also owns the *payload* codec: a queue travels as one versioned
+JSON record of its menu, threshold and frontier counts.  :func:`decode_queue`
+rebuilds it through the validating constructors and checks it against the
+key it was filed under, so a corrupt or hostile payload, or an older build's
+pickle, surfaces as :class:`WirePayloadError`, never as a wrong plan.
 """
 
 from __future__ import annotations
 
-import pickle
+import json
 import socket as socket_module
 import struct
 import time
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # asyncio stays a lazy import on the hot sync paths
     import asyncio
 
-from repro.algorithms.opq import OptimalPriorityQueue
+from repro.algorithms.opq import Combination, OptimalPriorityQueue
+from repro.core.bins import TaskBin, TaskBinSet
 from repro.core.errors import SladeError
-from repro.engine.fingerprint import OPQKey
+from repro.engine.fingerprint import OPQKey, opq_key
 
 #: First bytes of every frame; anything else is not this protocol.
 MAGIC = b"SC"
@@ -56,7 +57,7 @@ HEADER = struct.Struct("!2sBBIII")
 #: Keys are fingerprint/threshold tokens — far below this bound.
 MAX_KEY_BYTES = 4 * 1024
 
-#: Pickled queues for the paper's menus are kilobytes; 64 MiB is a hard stop
+#: Queue records for the paper's menus are kilobytes; 64 MiB is a hard stop
 #: against a corrupted length field allocating unbounded memory.
 MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
 
@@ -86,10 +87,9 @@ _REPLY_OPS = frozenset(
     (REPLY_VALUE, REPLY_MISS, REPLY_OK, REPLY_STATS, REPLY_PONG, REPLY_ERROR)
 )
 
-#: Pinned cross-host pickle protocol (supported by every CPython this repo
-#: targets); ``HIGHEST_PROTOCOL`` would let a newer interpreter poison the
-#: shared cache for older fleet members.
-QUEUE_PICKLE_PROTOCOL = 4
+#: Every queue payload is a record of this kind and revision.
+QUEUE_RECORD_KIND = "opq_queue"
+QUEUE_RECORD_VERSION = 1
 
 
 class WireProtocolError(SladeError):
@@ -271,29 +271,62 @@ def decode_key(data: bytes) -> OPQKey:
 
 
 def encode_queue(queue: OptimalPriorityQueue) -> bytes:
-    """Pickle a queue at the pinned cross-host protocol."""
-    return pickle.dumps(queue, protocol=QUEUE_PICKLE_PROTOCOL)
+    """One compact JSON record: menu, threshold, frontier counts head first, stats.
+
+    JSON writes floats as their shortest round-tripping repr, so
+    :func:`decode_queue` recomputes every quantity bit-equal.
+    """
+    menu = queue.head.bins
+    return json.dumps({
+        "kind": QUEUE_RECORD_KIND,
+        "version": QUEUE_RECORD_VERSION,
+        "menu": {
+            "name": menu.name,
+            "epoch": menu.calibration_epoch,
+            "bins": [[b.cardinality, b.confidence, b.cost] for b in menu],
+        },
+        "threshold": queue.threshold,
+        "frontier": [combination.counts for combination in queue],
+        "stats": queue.stats,
+    }, separators=(",", ":")).encode("utf-8")
 
 
-def decode_queue(data: bytes) -> OptimalPriorityQueue:
-    """Unpickle and type-check a queue payload.
+def decode_queue(payload: bytes, key: OPQKey) -> OptimalPriorityQueue:
+    """Rebuild a queue from its record; anything else is :class:`WirePayloadError`.
 
-    Raises :class:`WirePayloadError` for anything that does not unpickle into
-    an :class:`~repro.algorithms.opq.OptimalPriorityQueue` — truncated blobs,
-    foreign pickles, or garbage bytes — and for a queue whose pickled state
-    marks it ``complete = False``.  Older builds stored deadline-cut
-    frontiers that way; Algorithm 3 needs the full frontier, so such an
-    entry is treated as corrupt and rebuilt.
+    Checked in order: kind and version; the menu, through ``TaskBin`` and
+    ``TaskBinSet``; ``opq_key(menu, threshold) == key``, so a record filed
+    under another menu, epoch or threshold is refused; counts are positive
+    ints; every element is feasible; LCM falls and unit cost rises (Def. 4).
     """
     try:
-        value = pickle.loads(data)
-    except Exception as exc:  # noqa: BLE001 - pickle raises a medley of types
-        raise WirePayloadError(f"queue payload does not unpickle: {exc}") from exc
-    if not isinstance(value, OptimalPriorityQueue):
-        raise WirePayloadError(
-            f"queue payload unpickled into {type(value).__name__}, "
-            "not OptimalPriorityQueue"
-        )
-    if vars(value).get("complete") is False:
-        raise WirePayloadError("queue payload holds a truncated frontier")
-    return value
+        return _queue_from_record(json.loads(payload), key)
+    except Exception as exc:  # noqa: BLE001 - any failure means a bad record
+        raise WirePayloadError(f"queue payload refused: {exc}") from exc
+
+
+def _queue_from_record(record: Any, key: OPQKey) -> OptimalPriorityQueue:
+    if (record["kind"], record["version"]) != (QUEUE_RECORD_KIND, QUEUE_RECORD_VERSION):
+        raise ValueError("not a current queue record")
+    menu = record["menu"]
+    bins = TaskBinSet((TaskBin(*triple) for triple in menu["bins"]),
+                      name=menu["name"], calibration_epoch=menu["epoch"])
+    threshold = record["threshold"]
+    if opq_key(bins, threshold) != key:
+        raise ValueError("the record is filed under another key")
+    queue = OptimalPriorityQueue(threshold)
+    for pairs in record["frontier"]:
+        if not all(type(value) is int and value > 0 for pair in pairs for value in pair):
+            raise ValueError(f"counts {pairs!r} are not positive ints")
+        combination = Combination.from_counts(dict(pairs), bins)
+        if not combination.satisfies(threshold):
+            raise ValueError(f"{combination} misses the threshold")
+        if queue and not (combination.lcm < queue[-1].lcm
+                          and combination.unit_cost > queue[-1].unit_cost + 1e-15):
+            raise ValueError(f"{combination} breaks the frontier order")
+        queue._elements.append(combination)  # insert()'s invariant, checked in one pass
+    stats = record["stats"]
+    if not queue or not all(type(count) is int for count in stats.values()):
+        raise ValueError("the frontier is empty or a build counter is not an int")
+    queue.stats = stats
+    return queue

@@ -8,9 +8,6 @@ plans) to and from plain JSON-compatible dictionaries and files.
 """
 
 from repro.io.serialization import (
-    QUEUE_PICKLE_PROTOCOL,
-    queue_from_payload,
-    queue_to_payload,
     load_bin_set,
     load_plan,
     load_problem,
@@ -46,7 +43,4 @@ __all__ = [
     "solve_request_from_dict",
     "solve_response_to_dict",
     "solve_response_from_dict",
-    "QUEUE_PICKLE_PROTOCOL",
-    "queue_to_payload",
-    "queue_from_payload",
 ]

@@ -29,14 +29,6 @@ from repro.core.errors import SladeError
 from repro.core.plan import DecompositionPlan
 from repro.core.problem import SladeProblem
 from repro.core.task import AtomicTask, CrowdsourcingTask
-# Cached-queue payloads cross host boundaries (SQLite files on shared
-# storage, the `repro cached` wire), so their codec is pinned to one pickle
-# protocol and re-exported here as part of the public serialisation surface.
-from repro.engine.backends.wire import (  # noqa: F401 - public re-exports
-    QUEUE_PICKLE_PROTOCOL,
-    decode_queue as queue_from_payload,
-    encode_queue as queue_to_payload,
-)
 from repro.service.api import (
     ErrorEnvelope,
     Provenance,

@@ -11,9 +11,9 @@ from typing import Sized
 
 
 def require_positive(value: float, name: str) -> float:
-    """Ensure ``value`` is strictly positive, returning it unchanged."""
-    if value <= 0:
-        raise ValueError(f"{name} must be positive; got {value!r}")
+    """Ensure ``value`` is finite and strictly positive, returning it unchanged."""
+    if not 0 < value < float("inf"):  # NaN fails both comparisons
+        raise ValueError(f"{name} must be finite and positive; got {value!r}")
     return value
 
 

@@ -74,14 +74,15 @@ class TestCombination:
         assert comb.__dict__["_unit_cost"] == comb.unit_cost
         assert comb.__dict__["_residual"] == comb.residual
 
-    def test_bare_constructor_materialises_quantities_lazily(self, table1_bins):
-        # Unpickling old cache payloads restores __dict__ directly, skipping
-        # from_counts; the __getattr__ fallback must fill the cache then.
-        comb = Combination(((3, 2),), table1_bins)
-        assert "_lcm" not in comb.__dict__
-        assert comb.lcm == 3
-        assert comb.unit_cost == pytest.approx(0.16)
-        assert "_residual" in comb.__dict__
+    def test_bare_constructor_computes_the_same_quantities(self, table1_bins):
+        counts = {1: 3, 2: 2, 3: 1}
+        bare = Combination(tuple(sorted(counts.items())), table1_bins)
+        built = Combination.from_counts(counts, table1_bins)
+        assert bare == built
+        assert (bare.lcm, bare.unit_cost, bare.residual) == (
+            built.lcm, built.unit_cost, built.residual
+        )
+        assert bare.__dict__["_lcm"] == 6
 
     def test_unknown_attribute_still_raises(self, table1_bins):
         comb = Combination.from_counts({3: 2}, table1_bins)

@@ -35,6 +35,11 @@ class TestTaskBin:
         with pytest.raises(ValueError):
             TaskBin(1, 0.9, 0.0)
 
+    @pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cost_rejected(self, cost):
+        with pytest.raises(ValueError, match="finite"):
+            TaskBin(1, 0.9, cost)
+
     def test_str_mentions_cardinality(self):
         assert "b2" in str(TaskBin(2, 0.85, 0.18))
 

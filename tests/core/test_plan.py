@@ -1,11 +1,17 @@
 """Tests for decomposition plans."""
 
+import operator
+from functools import reduce
+
 import pytest
 
+from repro.algorithms.registry import create_solver
 from repro.core.bins import TaskBin
 from repro.core.errors import InfeasiblePlanError, InvalidBinError
 from repro.core.plan import BinAssignment, DecompositionPlan
+from repro.core.problem import SladeProblem
 from repro.core.task import CrowdsourcingTask
+from repro.datasets.jelly import jelly_bin_set
 
 
 class TestBinAssignment:
@@ -151,3 +157,17 @@ class TestPlanSummary:
         summary = plan.summary(task)
         assert summary["feasible"] is True
         assert summary["min_reliability"] == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("threshold", [0.8, 0.9, 0.95])
+    @pytest.mark.parametrize("n", [7, 61, 997, 10_000])
+    def test_mean_reliability_adds_left_to_right_on_every_interpreter(
+        self, n, threshold
+    ):
+        # The builtin sum is compensated from Python 3.12 on; 9 of these 12
+        # means differ in their last bits between 3.11 and 3.12 with it.
+        problem = SladeProblem.homogeneous(n, threshold, jelly_bin_set(8))
+        plan = create_solver("opq").solve(problem).plan
+        reliabilities = plan.reliabilities()
+        covered = [reliabilities.get(task_id, 0.0) for task_id in problem.task.task_ids]
+        summary = plan.summary(problem.task)
+        assert summary["mean_reliability"] == reduce(operator.add, covered, 0.0) / n

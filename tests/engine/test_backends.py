@@ -1,5 +1,7 @@
 """Tests for the pluggable plan-cache storage backends."""
 
+import json
+import pickle
 import sqlite3
 
 import pytest
@@ -201,15 +203,23 @@ class TestSQLiteBackend:
         assert rereader.get(key) is not None
         rereader.close()
 
-    def test_truncated_frontier_from_older_builds_is_a_miss(self, bins, tmp_path):
+    def test_pickle_from_older_builds_is_purged_and_rebuilt_as_a_record(
+        self, bins, tmp_path
+    ):
         backend = SQLiteBackend(tmp_path / "plans.db")
+        payload = pickle.dumps(build(bins, 0.95), protocol=4)  # older builds' rows
         key = opq_key(bins, 0.95)
-        queue = build(bins, 0.95)
-        queue.complete = False  # how older builds marked a deadline-cut frontier
-        backend.put_payload(key, encode_queue(queue))
-        assert backend.get(key) is None
-        assert key not in backend
-        backend.close()
+        backend.put_payload(key, payload)
+        try:
+            assert backend.get(key) is None
+            assert key not in backend
+            queue = PlanCache(backend=backend).queue_for(bins, 0.95)
+            [(stored_key, stored)] = backend.payloads()
+            assert stored_key == key
+            assert stored == encode_queue(queue)
+            assert json.loads(stored)["kind"] == "opq_queue"
+        finally:
+            backend.close()
 
 
 class TestPlanCacheWithBackends:

@@ -77,7 +77,7 @@ class TestRemoteBackend:
     def test_every_get_is_shared_storage_not_memoisation(self, bins, server):
         # The remote tier deliberately does not memoise: in-process warmth is
         # the tiered backend's job.  Two hits return equal but distinct
-        # objects, each unpickled from the wire.
+        # objects, each decoded from the wire.
         backend = remote_for(server)
         key = opq_key(bins, 0.9)
         backend.put(key, build(bins, 0.9))

@@ -4,19 +4,30 @@ The frame codec is the trust boundary between fleet hosts: anything that
 round-trips must come back bit-identical, and anything malformed — bad magic,
 foreign versions, lying length fields, flipped payload bits — must be
 rejected as :class:`WireProtocolError` before a byte of it is believed.  The
-live-server fuzz tests additionally pin the operational contract: garbage on
-a connection kills *that connection* at most, never the server.
+queue record codec is held to the same standard: a record decodes bit-equal
+to the queue it came from, and anything else, from a pickle an older build
+stored to a valid record filed under another key, is a
+:class:`WirePayloadError`.  The live-server fuzz tests additionally pin the
+operational contract: garbage on a connection kills *that connection* at
+most, never the server.
 """
 
+import json
+import pickle
 import socket
 import struct
+import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.opq import build_optimal_priority_queue
 from repro.core.bins import TaskBinSet
+from repro.datasets.jelly import jelly_bin_set
+from repro.datasets.smic import smic_bin_set
+from repro.engine.backends import RemoteBackend
 from repro.engine.backends.server import CacheServerThread
 from repro.engine.backends.wire import (
     HEADER,
@@ -41,6 +52,9 @@ from repro.engine.backends.wire import (
     encode_queue,
     read_frame_from_socket,
 )
+from repro.engine.cache import PlanCache
+from repro.engine.fingerprint import opq_key
+from repro.engine.telemetry import Telemetry
 
 REQUEST_OPS = (0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07)
 REPLY_OPS = (0x81, 0x82, 0x83, 0x84, 0x85, 0x86)
@@ -133,44 +147,186 @@ class TestKeyCodec:
             decode_key(b"no-separator-here")
 
 
+TABLE1 = [(1, 0.9, 0.10), (2, 0.85, 0.18), (3, 0.8, 0.24)]
+MENUS = {"jelly": jelly_bin_set(20), "smic": smic_bin_set(20)}
+
+#: Memo index 33,554,432 in six bytes: ``pickle.loads`` sizes its memo for
+#: it, 512 MB, before it runs out of input.
+MEMO_BOMB = b")r\x00\x00\x00\x02"
+
+
+@st.composite
+def sub_menus(draw):
+    """Two to five bins of the Jelly or SMIC 20-bin menu, at epoch 0-3."""
+    menu = MENUS[draw(st.sampled_from(sorted(MENUS)))]
+    cardinalities = draw(st.lists(
+        st.sampled_from([b.cardinality for b in menu]),
+        min_size=2, max_size=5, unique=True,
+    ))
+    return TaskBinSet(
+        (menu[cardinality] for cardinality in cardinalities),
+        name=draw(st.text(max_size=8)),
+        calibration_epoch=draw(st.integers(min_value=0, max_value=3)),
+    )
+
+
+def table1_queue():
+    """The Table 1 menu's queue at t = 0.95, and its key."""
+    bins = TaskBinSet.from_triples(TABLE1, name="t")
+    return build_optimal_priority_queue(bins, 0.95), opq_key(bins, 0.95)
+
+
+def assert_refused(record, key):
+    with pytest.raises(WirePayloadError):
+        decode_queue(json.dumps(record).encode(), key)
+
+
+def raw_exchange(server, op, key, payload=b""):
+    """One frame to ``server`` and its reply, bypassing any client codec."""
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.settimeout(5)
+        sock.sendall(encode_frame(op, encode_key(key), payload))
+        return read_frame_from_socket(sock)
+
+
 class TestQueuePayloadCodec:
     def test_round_trip_preserves_queue_content(self):
-        bins = TaskBinSet.from_triples(
-            [(1, 0.9, 0.10), (2, 0.85, 0.18), (3, 0.8, 0.24)], name="t"
-        )
-        queue = build_optimal_priority_queue(bins, 0.95)
-        restored = decode_queue(encode_queue(queue))
+        queue, key = table1_queue()
+        restored = decode_queue(encode_queue(queue), key)
         assert restored.threshold == queue.threshold
         assert [(c.counts, c.lcm) for c in restored] == [
             (c.counts, c.lcm) for c in queue
         ]
 
+    @settings(max_examples=60, deadline=None)
+    @given(bins=sub_menus(), threshold=st.floats(min_value=0.5, max_value=0.99))
+    def test_record_round_trip_is_bit_equal(self, bins, threshold):
+        queue = build_optimal_priority_queue(bins, threshold)
+        payload = encode_queue(queue)
+        key = opq_key(bins, threshold)  # reads, and memoises, the fingerprint
+        assert encode_queue(queue) == payload
+        restored = decode_queue(payload, key)
+        assert restored.threshold == threshold
+        assert restored.stats == queue.stats
+        assert [(c.counts, c.lcm, c.unit_cost, c.residual) for c in restored] == [
+            (c.counts, c.lcm, c.unit_cost, c.residual) for c in queue
+        ]
+        menu = restored.head.bins
+        assert (menu.name, menu.calibration_epoch, menu.bins()) == (
+            bins.name, bins.calibration_epoch, bins.bins()
+        )
+
+    @example(garbage=MEMO_BOMB)
     @given(garbage=st.binary(max_size=256))
     def test_garbage_payloads_rejected(self, garbage):
         try:
-            decode_queue(garbage)
+            decode_queue(garbage, ("fingerprint", "token"))
         except WirePayloadError:
             pass
-        else:  # pragma: no cover - would mean pickle accepted garbage
+        else:  # pragma: no cover - would mean garbage decoded into a queue
             pytest.fail("garbage bytes decoded into a queue")
 
-    def test_foreign_pickles_rejected(self):
-        import pickle
+    def test_memo_bomb_is_refused_fast_and_small(self):
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            with pytest.raises(WirePayloadError):
+                decode_queue(MEMO_BOMB, ("fingerprint", "token"))
+            elapsed = time.perf_counter() - started
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.05
+        assert peak < 1 << 20
 
-        with pytest.raises(WirePayloadError, match="not OptimalPriorityQueue"):
-            decode_queue(pickle.dumps({"not": "a queue"}))
-
-    def test_truncated_frontiers_from_older_builds_rejected(self):
-        """Older builds pickled a ``complete`` flag; only ``False`` is refused."""
-        bins = TaskBinSet.from_triples(
-            [(1, 0.9, 0.10), (2, 0.85, 0.18), (3, 0.8, 0.24)], name="t"
-        )
+    def test_pickles_from_older_builds_are_refused(self):
+        bins = TaskBinSet.from_triples(TABLE1, name="t")
         queue = build_optimal_priority_queue(bins, 0.95)
-        queue.complete = True
-        assert len(decode_queue(encode_queue(queue))) == len(queue)
-        queue.complete = False
-        with pytest.raises(WirePayloadError, match="truncated frontier"):
-            decode_queue(encode_queue(queue))
+        payload = pickle.dumps(queue, protocol=4)  # the format older builds stored
+        with pytest.raises(WirePayloadError):
+            decode_queue(payload, opq_key(bins, 0.95))
+
+    def test_record_filed_under_another_key_is_refused(self):
+        queue, key = table1_queue()
+        bins = queue.head.bins
+        payload = encode_queue(queue)
+        for other_key in (
+            opq_key(TaskBinSet.from_triples(TABLE1[:2]), 0.95),
+            opq_key(bins.with_epoch(1), 0.95),
+            opq_key(bins, 0.9),
+        ):
+            assert other_key != key
+            with pytest.raises(WirePayloadError, match="another key"):
+                decode_queue(payload, other_key)
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("bins", (2, 1), 0.99),   # a forged confidence
+        ("bins", (0, 2), 0.01),   # a forged cost
+        ("epoch", None, 1),
+    ])
+    def test_forged_menu_under_the_genuine_key_is_refused(self, field, index, value):
+        queue, key = table1_queue()
+        record = json.loads(encode_queue(queue))
+        if index is None:
+            record["menu"][field] = value
+        else:
+            record["menu"][field][index[0]][index[1]] = value
+        assert_refused(record, key)
+
+    @pytest.mark.parametrize("frontier", [
+        pytest.param([[[1, 2]], [[2, 2]], [[3, 2]]], id="reversed"),
+        pytest.param([[[3, 2]], [[3, 3]]], id="lcm-not-decreasing"),
+        pytest.param([[[2, 1], [3, 1]], [[3, 2]]], id="unit-cost-not-rising"),
+        pytest.param([[[3, 1]]], id="infeasible"),
+        pytest.param([[[3, 2.0]]], id="float-count"),
+        pytest.param([[[3, 2]], [[1, True], [2, 1]]], id="bool-count"),
+        pytest.param([[[3, "2"]]], id="string-count"),
+        pytest.param([[[3, 2], [1, 0]]], id="zero-count"),
+        pytest.param([[[3, 2], [1, -1]]], id="negative-count"),
+        pytest.param([[[4, 2]]], id="unknown-bin"),
+        pytest.param([[[3, 2, 1]]], id="not-a-pair"),
+        pytest.param([[]], id="empty-element"),
+        pytest.param([], id="empty"),
+    ])
+    def test_malformed_frontier_is_refused(self, frontier):
+        queue, key = table1_queue()
+        record = json.loads(encode_queue(queue))
+        assert record["frontier"] == [[[3, 2]], [[2, 2]], [[1, 2]]]
+        assert_refused(dict(record, frontier=frontier), key)
+
+    @pytest.mark.parametrize("change", [
+        {"kind": "lineage"},
+        {"version": 2},
+        {"stats": {"nodes": "many"}},
+        {"stats": [1, 2]},
+    ])
+    def test_other_kinds_versions_and_counters_are_refused(self, change):
+        queue, key = table1_queue()
+        record = json.loads(encode_queue(queue))
+        assert len(decode_queue(json.dumps(record).encode(), key)) == len(queue)
+        assert_refused(dict(record, **change), key)
+
+    def test_older_pickle_on_the_server_is_purged_counted_and_rebuilt(self):
+        bins = TaskBinSet.from_triples(TABLE1, name="t")
+        payload = pickle.dumps(build_optimal_priority_queue(bins, 0.95), protocol=4)
+        key = opq_key(bins, 0.95)
+        telemetry = Telemetry()
+        with CacheServerThread() as server:
+            assert raw_exchange(server, OP_PUT, key, payload).op == REPLY_OK
+            backend = RemoteBackend(server.host, server.port, telemetry=telemetry)
+            try:
+                assert backend.get(key) is None
+                assert key not in backend  # purged from the server
+                assert telemetry.counter("remote_cache.corrupt_payloads") == 1
+                queue = PlanCache(backend=backend).queue_for(bins, 0.95)
+                stored = raw_exchange(server, OP_GET, key).payload
+                assert stored == encode_queue(queue)
+                assert json.loads(stored)["kind"] == "opq_queue"
+                restored = backend.get(key)
+                assert [c.counts for c in restored] == [c.counts for c in queue]
+                assert telemetry.counter("remote_cache.corrupt_payloads") == 1
+            finally:
+                backend.close()
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,6 @@ payloads, subsets, calibration epochs and zero thresholds of either sign.
 
 import hashlib
 import json
-import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,13 +310,3 @@ def test_fingerprints_follow_the_formula(task, triples, epoch):
     assert bins.fingerprint == bins_formula(bins)
     # The problem digest reads the menu's memo, set by the line above.
     assert problem.fingerprint == problem_formula(problem)
-
-
-@given(triples_st, st.integers(min_value=0, max_value=5))
-def test_reading_the_fingerprint_leaves_the_pickled_menu_alone(triples, epoch):
-    # Cached queues pickle their menu: the memo must not change those bytes.
-    bins = TaskBinSet((TaskBin(*triple) for triple in triples), calibration_epoch=epoch)
-    before = pickle.dumps(bins, protocol=4)
-    fingerprint = bins.fingerprint
-    assert pickle.dumps(bins, protocol=4) == before
-    assert pickle.loads(before).fingerprint == fingerprint

@@ -33,6 +33,7 @@ from repro.service import (
     SolveRequest,
 )
 from repro.service.client import TransportError
+from repro.service.normalize import parse_request_payload
 from repro.service.transport.admission import AdmissionController
 from repro.service.transport.server import HttpSladeServer
 
@@ -200,6 +201,18 @@ class TestTransportErrors:
             assert reply.payload["kind"] == "solve_response"
             assert reply.payload["ok"] is False
             assert reply.payload["error"]["type"] == "JSONDecodeError"
+
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf")])
+    def test_non_finite_bin_cost_is_400(self, cost):
+        """A NaN cost would be served with a bare ``NaN`` total, which is not JSON."""
+        payload = dict(inline_request(n=10), bins=[[1, 0.9, cost]] + BINS[1:])
+        with pytest.raises(ValueError, match="finite"):
+            parse_request_payload(payload)
+        with ServerHandle() as handle:
+            reply = handle.client()._request("POST", "/v2/solve", payload, None)
+            assert reply.status == 400
+            assert reply.payload["ok"] is False
+            assert "finite" in reply.payload["error"]["message"]
 
     def test_http_envelope_matches_jsonlines_envelope(self):
         """Satellite fix: one failure shape across both transports."""

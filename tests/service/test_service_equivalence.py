@@ -112,7 +112,7 @@ class TestPersistentBackendEquivalence:
                 assert first.solve(request).ok
 
         # A "restarted" service on the same file serves hits immediately and
-        # its unpickled queues must produce the same bytes.
+        # its decoded queues must produce the same bytes.
         with SladeService(backend=SQLiteBackend(path)) as second:
             responses = [second.solve(request) for request in requests]
             stats = second.cache_stats
