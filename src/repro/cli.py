@@ -59,7 +59,9 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import ctypes
 import json
+import os
 import signal
 import sys
 from typing import List, Optional, Sequence, TextIO
@@ -88,6 +90,9 @@ from repro.service import (
 from repro.lint.cli import add_lint_arguments, run_lint_command
 from repro.service.normalize import parse_request_payload
 from repro.service.transport.http11 import split_host_port
+
+#: glibc's ``mallopt`` parameter that caps the number of malloc arenas.
+_M_ARENA_MAX = -8
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -386,12 +391,35 @@ def _parse_tenant_limits(raw: Optional[List[str]]) -> Optional[dict]:
     return limits
 
 
+def _share_one_malloc_arena() -> None:
+    """Make every thread of this process allocate from glibc's main arena.
+
+    The HTTP server runs Python on one thread at a time, so per-thread malloc
+    arenas give its worker threads no parallelism.  They did make a request's
+    cost depend on which worker the executor picked: a worker's own arena
+    could hand the megabytes a large request frees back to the kernel and
+    fault them in again on the next request, several hundred page faults per
+    warm n = 3·10^4 call.  Must run before the server starts its threads; a
+    no-op off glibc.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
+
 def _serve_http(args: argparse.Namespace) -> int:
     """Run the HTTP transport until SIGINT/SIGTERM, then drain and exit 0."""
     try:
         host, port = split_host_port(args.http)
     except ValueError as exc:
         raise SladeError(f"invalid --http value: {exc}") from exc
+    _share_one_malloc_arena()
     config = ServiceConfig(
         solver=args.solver,
         verify=not args.no_verify,

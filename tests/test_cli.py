@@ -1,12 +1,41 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.io.serialization import solve_request_to_dict
 from repro.service import SolveRequest
+
+#: Starts four allocating threads, optionally after the HTTP server's arena
+#: setting, then prints glibc's per-arena statistics to stderr.
+_ARENA_PROBE = """
+import ctypes, sys, threading
+from repro.cli import _share_one_malloc_arena
+if sys.argv[1] == "share":
+    _share_one_malloc_arena()
+def churn():
+    for _ in range(20):
+        [list(range(1000)) for _ in range(8)]
+threads = [threading.Thread(target=churn) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+ctypes.CDLL(None).malloc_stats()
+"""
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError):
+        return False
 
 
 class TestSolveCommand:
@@ -167,6 +196,27 @@ class TestServeCommand:
         exit_code = main(["serve", "--input", input_path, "--stats"])
         assert exit_code == 0
         assert "cache hits/misses" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not _glibc(), reason="malloc arenas are a glibc feature")
+    def test_http_serve_threads_share_one_malloc_arena(self):
+        # Which worker thread serves a request must not decide whether its
+        # memory is faulted in afresh, so the HTTP server's threads all
+        # allocate from the main arena.  Without the setting the same
+        # threads get arenas of their own.
+        env = dict(os.environ)
+        env.pop("MALLOC_ARENA_MAX", None)
+        src_root = Path(__file__).resolve().parents[1] / "src"
+        env["PYTHONPATH"] = f"{src_root}{os.pathsep}{env.get('PYTHONPATH', '')}"
+
+        def arenas(mode: str) -> int:
+            completed = subprocess.run(
+                [sys.executable, "-c", _ARENA_PROBE, mode], env=env,
+                capture_output=True, text=True, timeout=60, check=True,
+            )
+            return sum(line.startswith("Arena ") for line in completed.stderr.splitlines())
+
+        assert arenas("share") == 1
+        assert arenas("default") > 1
 
 
 class TestProfileCommand:
